@@ -1,15 +1,13 @@
 /**
  * @file
- * Ablation (DESIGN.md decision 1): per-agent SoA arrays vs per-agent
- * AoS records vs the fully interleaved all-agents store, under
- * uniform and locality-aware index plans. Shows why the baseline
- * SoA layout is a faithful stand-in for the reference NumPy buffers
- * and how much of the Figure 14 effect is pure layout.
+ * Ablation (DESIGN.md decision 1): per-agent SoA arrays vs the
+ * record-major all-agents store (one all-hot ShardedStore shard),
+ * under uniform and locality-aware index plans. Shows why the
+ * baseline SoA layout is a faithful stand-in for the reference NumPy
+ * buffers and how much of the Figure 14 effect is pure layout.
  */
 
 #include "common.hh"
-
-#include "marlin/replay/aos_buffer.hh"
 
 namespace
 {
@@ -20,8 +18,7 @@ using namespace marlin::bench;
 struct Layouts
 {
     std::unique_ptr<replay::MultiAgentBuffer> soa;
-    std::vector<replay::AosReplayBuffer> aos;
-    std::unique_ptr<replay::InterleavedReplayStore> interleaved;
+    std::unique_ptr<replay::ShardedStore> records;
 };
 
 Layouts
@@ -31,10 +28,8 @@ buildLayouts(Task task, std::size_t agents, BufferIndex capacity)
     auto shapes = taskShapes(task, agents);
     l.soa =
         std::make_unique<replay::MultiAgentBuffer>(shapes, capacity);
-    l.interleaved = std::make_unique<replay::InterleavedReplayStore>(
-        shapes, capacity);
-    for (const auto &s : shapes)
-        l.aos.emplace_back(s, capacity);
+    l.records = std::make_unique<replay::ShardedStore>(
+        shapes, capacity, replay::ShardedStoreConfig{});
 
     Rng rng(agents);
     std::vector<std::vector<Real>> obs(agents), act(agents),
@@ -53,29 +48,26 @@ buildLayouts(Task task, std::size_t agents, BufferIndex capacity)
             next[a] = obs[a];
             rew[a] = rng.uniformf();
         }
-        l.soa->add(obs, act, rew, next, done);
-        l.interleaved->append(obs, act, rew, next, done);
-        for (std::size_t a = 0; a < agents; ++a) {
-            l.aos[a].add(obs[a].data(), act[a].data(), rew[a],
-                         next[a].data(), done[a]);
-        }
+        l.soa->append(obs, act, rew, next, done);
+        l.records->append(obs, act, rew, next, done);
     }
     return l;
 }
 
 /** Seconds per update (N trainers x N-agent gathers). */
-template <typename GatherFn>
 double
 timeGather(std::size_t agents, replay::Sampler &sampler,
-           BufferIndex size, GatherFn &&gather, int reps)
+           const replay::ReplayStore &store, int reps)
 {
     Rng rng(7);
-    for (std::size_t t = 0; t < agents; ++t)
-        gather(sampler.plan(size, 1024, rng)); // Warm-up.
+    std::vector<replay::AgentBatch> batches;
+    const BufferIndex size = store.size();
+    for (std::size_t t = 0; t < agents; ++t) // Warm-up.
+        store.gatherAll(sampler.plan(size, 1024, rng), batches);
     profile::Stopwatch sw;
     for (int rep = 0; rep < reps; ++rep)
         for (std::size_t t = 0; t < agents; ++t)
-            gather(sampler.plan(size, 1024, rng));
+            store.gatherAll(sampler.plan(size, 1024, rng), batches);
     return sw.elapsedSeconds() / reps;
 }
 
@@ -83,37 +75,19 @@ void
 run(Task task, replay::Sampler &sampler, const char *plan_name)
 {
     std::printf("\n%s, %s index plans\n", taskName(task), plan_name);
-    std::printf("%-8s %12s %12s %14s\n", "agents", "soa(ms)",
-                "aos(ms)", "interleaved(ms)");
+    std::printf("%-8s %12s %16s\n", "agents", "soa(ms)",
+                "record-major(ms)");
     for (std::size_t n : {3, 6, 12}) {
         const BufferIndex capacity = scaledCapacity(
             taskShapes(task, n), 256ull << 20);
         auto layouts = buildLayouts(task, n, capacity);
-        std::vector<replay::AgentBatch> batches;
         const int reps = n >= 12 ? 2 : 4;
 
-        const double soa = timeGather(
-            n, sampler, capacity,
-            [&](const replay::IndexPlan &plan) {
-                replay::gatherAllAgents(*layouts.soa, plan, batches);
-            },
-            reps);
-        const double aos = timeGather(
-            n, sampler, capacity,
-            [&](const replay::IndexPlan &plan) {
-                batches.resize(n);
-                for (std::size_t a = 0; a < n; ++a)
-                    layouts.aos[a].gather(plan, batches[a]);
-            },
-            reps);
-        const double inter = timeGather(
-            n, sampler, capacity,
-            [&](const replay::IndexPlan &plan) {
-                layouts.interleaved->gatherAllAgents(plan, batches);
-            },
-            reps);
-        std::printf("%-8zu %12.2f %12.2f %14.2f\n", n, soa * 1e3,
-                    aos * 1e3, inter * 1e3);
+        const double soa = timeGather(n, sampler, *layouts.soa, reps);
+        const double records =
+            timeGather(n, sampler, *layouts.records, reps);
+        std::printf("%-8zu %12.2f %16.2f\n", n, soa * 1e3,
+                    records * 1e3);
     }
 }
 
@@ -126,14 +100,13 @@ main(int argc, char **argv)
     initIsa(argc, argv);
     initLogLevel(argc, argv);
     ObsSession obs(argc, argv, "bench_ablation_layout");
-    banner("Ablation: replay storage layout (SoA vs AoS vs "
-           "interleaved)");
+    banner("Ablation: replay storage layout (SoA vs record-major)");
     replay::UniformSampler uniform;
     run(Task::PredatorPrey, uniform, "uniform");
     replay::LocalityAwareSampler locality({16, 64});
     run(Task::PredatorPrey, locality, "locality n16");
-    std::printf("\nexpectation: AoS beats SoA under random plans "
-                "(one seek per row vs three);\ninterleaved wins "
-                "once agents multiply the per-row seek count.\n");
+    std::printf("\nexpectation: the record-major store wins once "
+                "agents multiply the per-row\nseek count (one record "
+                "read per index vs three reads per agent).\n");
     return 0;
 }

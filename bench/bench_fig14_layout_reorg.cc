@@ -49,11 +49,11 @@ baselineSeconds(const replay::MultiAgentBuffer &buffers,
 
 /**
  * Reorganized path (Section IV-B2): the replay data lives in the
- * interleaved key-value store, maintained by appending each new
- * joint transition (the per-update reshaping cost: updateEvery
- * records); each trainer then gathers its mini-batch with a single
- * O(B) loop whose every lookup reads one contiguous record instead
- * of 3N scattered rows.
+ * record-major store — one all-hot ShardedStore shard — maintained
+ * by appending each new joint transition (the per-update reshaping
+ * cost: updateEvery records); each trainer then gathers its
+ * mini-batch with a single O(B) loop whose every lookup reads one
+ * contiguous record instead of 3N scattered rows.
  */
 struct ReorgTimes
 {
@@ -63,7 +63,7 @@ struct ReorgTimes
 
 ReorgTimes
 reorgSeconds(const replay::MultiAgentBuffer &buffers,
-             replay::InterleavedReplayStore &store,
+             replay::ShardedStore &store,
              replay::Sampler &sampler, int reps,
              std::size_t update_every = 100)
 {
@@ -98,13 +98,13 @@ reorgSeconds(const replay::MultiAgentBuffer &buffers,
     // Gathers: one plan per trainer, O(B) record reads each.
     for (std::size_t t = 0; t < n; ++t) { // Warm-up pass.
         auto plan = sampler.plan(store.size(), 1024, rng);
-        store.gatherAllAgents(plan, batches);
+        store.gatherAll(plan, batches);
     }
     profile::Stopwatch sw;
     for (int rep = 0; rep < reps; ++rep) {
         for (std::size_t t = 0; t < n; ++t) {
             auto plan = sampler.plan(store.size(), 1024, rng);
-            store.gatherAllAgents(plan, batches);
+            store.gatherAll(plan, batches);
         }
     }
     times.gather = sw.elapsedSeconds() / reps;
@@ -124,7 +124,7 @@ runTask(Task task)
         const BufferIndex capacity =
             scaledCapacity(shapes, 320ull << 20);
         replay::MultiAgentBuffer buffers(shapes, capacity);
-        replay::InterleavedReplayStore store(shapes, capacity);
+        replay::ShardedStore store(shapes, capacity, {});
         Rng fill_rng(n);
         fillSynthetic(buffers, capacity, fill_rng, &store);
 

@@ -98,10 +98,11 @@ BM_GemmNT(benchmark::State &state, Isa isa)
     const std::size_t n = static_cast<std::size_t>(state.range(0));
     Rng rng(9);
     Matrix a(1024, 64), b(n, 64), c;
+    std::vector<Real> pack;
     numeric::fillUniform(a, rng, -1, 1);
     numeric::fillUniform(b, rng, -1, 1);
     for (auto _ : state) {
-        numeric::gemmNT(a, b, c);
+        numeric::gemmNT(a, b, c, pack);
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(state.iterations() * 1024 * 64 * n);

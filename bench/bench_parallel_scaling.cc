@@ -83,7 +83,9 @@ stateAfterUpdates(std::size_t agents, std::size_t batch,
     for (std::size_t u = 0; u < updates; ++u)
         trainer->update(buffers, timer);
     std::ostringstream os;
-    core::saveTrainer(os, *trainer);
+    core::RunState state;
+    state.trainer = trainer.get();
+    core::saveRun(os, state);
     return os.str();
 }
 

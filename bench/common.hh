@@ -168,15 +168,14 @@ scaledCapacity(const std::vector<replay::TransitionShape> &shapes,
 }
 
 /**
- * Fill every agent's buffer (and optionally the interleaved store)
- * with synthetic random transitions up to @p count entries. Used by
- * sampling-phase benches where environment dynamics are irrelevant
- * but buffer volume is.
+ * Fill every agent's buffer (and optionally a record-major sharded
+ * store with the same stream) with synthetic random transitions up
+ * to @p count entries. Used by sampling-phase benches where
+ * environment dynamics are irrelevant but buffer volume is.
  */
 inline void
 fillSynthetic(replay::MultiAgentBuffer &buffers, BufferIndex count,
-              Rng &rng,
-              replay::InterleavedReplayStore *store = nullptr)
+              Rng &rng, replay::ShardedStore *store = nullptr)
 {
     const std::size_t n = buffers.numAgents();
     std::vector<std::vector<Real>> obs(n), act(n), next(n);
@@ -198,7 +197,7 @@ fillSynthetic(replay::MultiAgentBuffer &buffers, BufferIndex count,
             act[a][rng.randint(act[a].size())] = Real(1);
             rew[a] = rng.uniformf();
         }
-        buffers.add(obs, act, rew, next, done);
+        buffers.append(obs, act, rew, next, done);
         if (store)
             store->append(obs, act, rew, next, done);
     }

@@ -3,7 +3,7 @@
  * Cooperative fleet example: MATD3 with information-prioritized
  * locality-aware sampling on cooperative navigation — the paper's
  * full optimization stack on its cooperative workload, including
- * the interleaved data-layout backend.
+ * the record-major data-layout backend.
  *
  *   ./cooperative_fleet [agents] [episodes]
  */
@@ -33,8 +33,9 @@ main(int argc, char **argv)
     config.updateEvery = 100;
     config.epsilonDecayEpisodes = episodes / 2;
     config.policyDelay = 2;
-    // Sample from the reorganized key-value layout (Section IV-B2).
-    config.backend = core::SamplingBackend::Interleaved;
+    // Sample from the reorganized record-major layout (Section IV-B2):
+    // one all-hot shard of joint records.
+    config.backend = core::SamplingBackend::Sharded;
     config.seed = 31;
 
     std::vector<std::size_t> dims;
@@ -54,7 +55,7 @@ main(int argc, char **argv)
         });
 
     core::TrainLoop loop(*environment, trainer, config);
-    std::printf("MATD3 + IP-locality sampling + interleaved layout, "
+    std::printf("MATD3 + IP-locality sampling + record-major layout, "
                 "%zu agents, %zu episodes\n",
                 agents, episodes);
     const std::size_t report_every =
@@ -77,11 +78,10 @@ main(int argc, char **argv)
                 profile::formatUpdate(
                     profile::updateBreakdown(result.timer))
                     .c_str());
-    std::printf("interleaved store mirrors %llu transitions (%s)\n",
-                static_cast<unsigned long long>(
-                    loop.interleavedStore()->size()),
-                formatBytes(
-                    loop.interleavedStore()->storageBytes())
-                    .c_str());
+    const replay::ReplayStore &store = loop.replayStore();
+    std::printf("%s store holds %llu transitions (%s)\n",
+                store.backendName(),
+                static_cast<unsigned long long>(store.size()),
+                formatBytes(store.storageBytes()).c_str());
     return 0;
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Full command-line training driver: pick the algorithm, task,
- * sampler, layout backend and hyper-parameters; optionally resume
- * from / save to a checkpoint. This is the "run the paper" entry
+ * sampler, layout backend and hyper-parameters; optionally save the
+ * trained networks to a checkpoint. This is the "run the paper" entry
  * point for users who don't want to write C++.
  *
  *   ./marlin_cli --algo maddpg --task pp --agents 6 \
@@ -183,9 +183,8 @@ main(int argc, char **argv)
                    "results are identical per ISA for any thread "
                    "count)");
     args.addOption("save-checkpoint", "",
-                   "write trainer state here after training");
-    args.addOption("load-checkpoint", "",
-                   "restore trainer state before training");
+                   "write a trainer-only checkpoint (networks, "
+                   "optimizer and sampler state) here after training");
     args.addOption("checkpoint-dir", "",
                    "rotate full-state latest/previous snapshots "
                    "here and auto-resume from them");
@@ -217,7 +216,8 @@ main(int argc, char **argv)
     args.addOption("log-level", "inform",
                    "silent, fatal, warn, inform or debug");
     args.addFlag("interleaved",
-                 "use the reorganized key-value replay layout");
+                 "use the reorganized record-major replay layout (a "
+                 "one-shard, all-hot sharded store)");
     args.addFlag("continuous",
                  "tanh actors emitting 2D forces (OU exploration) "
                  "instead of 5 discrete actions");
@@ -283,23 +283,16 @@ main(int argc, char **argv)
     config.gamma = static_cast<Real>(args.getDouble("gamma"));
     config.epsilonDecayEpisodes = episodes / 2;
     config.seed = static_cast<std::uint64_t>(args.getInt("seed"));
+    // The shard and cold-tier knobs select the sharded store on their
+    // own (core::makeReplayStore); --interleaved asks for it with the
+    // default one all-hot shard.
     if (args.getFlag("interleaved"))
-        config.backend = core::SamplingBackend::Interleaved;
+        config.backend = core::SamplingBackend::Sharded;
     config.replayShards =
         static_cast<std::size_t>(args.getInt("replay-shards"));
     config.replayHotCapacity =
         static_cast<BufferIndex>(args.getInt("replay-hot"));
     config.replayColdDir = args.get("replay-cold-dir");
-    const bool wantSharded = config.replayShards > 1 ||
-                             !config.replayColdDir.empty();
-    if (wantSharded) {
-        if (args.getFlag("interleaved")) {
-            fatal("--interleaved and the sharded replay engine "
-                  "(--replay-shards/--replay-cold-dir) are mutually "
-                  "exclusive backends");
-        }
-        config.backend = core::SamplingBackend::Sharded;
-    }
     if (args.getFlag("continuous"))
         config.actionMode = core::ActionMode::Continuous;
 
@@ -342,12 +335,6 @@ main(int argc, char **argv)
         fatal("unknown algo '%s'", algo.c_str());
     }
 
-    if (!args.get("load-checkpoint").empty()) {
-        core::loadTrainerFile(args.get("load-checkpoint"), *trainer);
-        inform("restored checkpoint '%s'",
-               args.get("load-checkpoint").c_str());
-    }
-
     // Observability sinks. Both are pure observers: enabling them
     // changes no training numerics and no checkpoint bytes.
     const std::string telemetry_path = args.get("telemetry");
@@ -358,8 +345,12 @@ main(int argc, char **argv)
         obs::TraceRing::enable(static_cast<std::size_t>(
             args.getInt("trace-capacity")));
     }
+    // Opened once a loop owns its replay store, so the header's
+    // layout field names the backend the run actually uses.
     std::unique_ptr<obs::TelemetryWriter> telemetry;
-    if (!telemetry_path.empty()) {
+    const auto open_telemetry = [&](const replay::ReplayStore &store) {
+        if (telemetry_path.empty())
+            return;
         telemetry = std::make_unique<obs::TelemetryWriter>(
             telemetry_path,
             std::vector<std::pair<std::string, std::string>>{
@@ -376,14 +367,12 @@ main(int argc, char **argv)
                 {"isa",
                  numeric::kernels::isaName(
                      numeric::kernels::activeIsa())},
-                {"layout", args.getFlag("interleaved")
-                               ? "interleaved"
-                               : "aos"},
+                {"layout", store.backendName()},
             });
         if (!telemetry->ok())
             fatal("cannot open --telemetry path '%s'",
                   telemetry_path.c_str());
-    }
+    };
 
     // Live introspection endpoint. In async mode the supervisor's
     // watchdog tick services scrapes, so neither the actors nor the
@@ -459,6 +448,7 @@ main(int argc, char **argv)
                 return policy;
             },
             config, acfg);
+        open_telemetry(loop.buffer());
         if (telemetry) {
             loop.setTelemetry(telemetry.get(),
                               static_cast<std::size_t>(
@@ -553,6 +543,7 @@ main(int argc, char **argv)
         if (stats)
             stats->startThread();
         core::TrainLoop loop(*environment, *trainer, config);
+        open_telemetry(loop.replayStore());
         if (telemetry) {
             loop.setTelemetry(telemetry.get(),
                               static_cast<std::size_t>(
@@ -603,9 +594,16 @@ main(int argc, char **argv)
         stats->stop();
 
     if (!args.get("save-checkpoint").empty()) {
-        core::saveTrainerFile(args.get("save-checkpoint"), *trainer);
-        inform("saved checkpoint '%s'",
-               args.get("save-checkpoint").c_str());
+        const std::string path = args.get("save-checkpoint");
+        core::RunState state;
+        state.trainer = trainer.get();
+        const core::CkptResult saved = core::saveRunFile(path, state);
+        if (!saved) {
+            fatal("cannot save checkpoint '%s' (%s: %s)", path.c_str(),
+                  core::ckptErrorName(saved.error),
+                  saved.detail.c_str());
+        }
+        inform("saved checkpoint '%s'", path.c_str());
     }
 
     if (!trace_path.empty()) {

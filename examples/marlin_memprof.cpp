@@ -127,7 +127,7 @@ main(int argc, char **argv)
                 next[a] = obs[a];
                 rew[a] = rng.uniformf();
             }
-            buffers.add(obs, act, rew, next, done);
+            buffers.append(obs, act, rew, next, done);
         }
     }
 

@@ -107,7 +107,7 @@ main(int argc, char **argv)
                 act[a][rng.randint(5)] = Real(1);
                 rew[a] = rng.uniformf();
             }
-            buffers.add(obs, act, rew, next, done);
+            buffers.append(obs, act, rew, next, done);
         }
     }
 

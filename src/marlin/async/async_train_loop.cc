@@ -8,6 +8,7 @@
 #include "marlin/async/supervisor.hh"
 #include "marlin/base/logging.hh"
 #include "marlin/core/checkpoint.hh"
+#include "marlin/core/train_loop.hh"
 #include "marlin/obs/metrics.hh"
 
 namespace marlin::async
@@ -21,38 +22,14 @@ AsyncTrainLoop::AsyncTrainLoop(core::CtdeTrainerBase &trainer_in,
     : trainer(trainer_in), envFactory(std::move(env_factory)),
       policyFactory(std::move(policy_factory)),
       config(std::move(config_in)), async(std::move(async_in)),
+      store(core::makeReplayStore(config,
+                                  trainer_in.transitionShapes())),
       layout(replay::JointTransitionLayout::fromShapes(
           trainer_in.transitionShapes()))
 {
     MARLIN_ASSERT(async.actors >= 1, "async loop needs >= 1 actor");
     MARLIN_ASSERT(async.lanesPerActor >= 1,
                   "async loop needs >= 1 lane per actor");
-    if (config.backend == core::SamplingBackend::Interleaved)
-    {
-        fatal("the async runtime supports only the per-agent and "
-              "sharded sampling backends (the interleaved store's "
-              "reorg bookkeeping assumes the lockstep loop)");
-    }
-    const bool wantSharded =
-        config.backend == core::SamplingBackend::Sharded ||
-        config.replayShards > 1 || !config.replayColdDir.empty();
-    if (wantSharded)
-    {
-        replay::ShardedStoreConfig scfg;
-        scfg.shards = config.replayShards;
-        scfg.hotCapacity = config.replayHotCapacity;
-        scfg.coldDir = config.replayColdDir;
-        sharded = std::make_unique<replay::ShardedStore>(
-            trainer_in.transitionShapes(), config.bufferCapacity,
-            scfg);
-        storage = sharded.get();
-    }
-    else
-    {
-        buffers = std::make_unique<replay::MultiAgentBuffer>(
-            trainer_in.transitionShapes(), config.bufferCapacity);
-        storage = buffers.get();
-    }
     if (config.healthPolicy == core::HealthGuardPolicy::Rollback)
     {
         fatal("HealthGuardPolicy::Rollback requires the synchronous "
@@ -90,8 +67,7 @@ AsyncTrainLoop::run(std::size_t episodes)
         core::LoopProgress progress;
         core::RunState state;
         state.trainer = &trainer;
-        state.buffers = buffers.get();
-        state.sharded = sharded.get();
+        state.replay = store.get();
         state.progress = &progress;
         const core::CkptResult loaded =
             core::resumeLatest(async.checkpointDir, state);
@@ -113,7 +89,7 @@ AsyncTrainLoop::run(std::size_t episodes)
             inform("async resume: restored %llu episodes, %zu "
                    "replay transitions from %s",
                    static_cast<unsigned long long>(prefix),
-                   static_cast<std::size_t>(storage->size()),
+                   static_cast<std::size_t>(store->size()),
                    async.checkpointDir.c_str());
         }
         else if (loaded.error == core::CkptError::NotFound)
@@ -176,9 +152,8 @@ AsyncTrainLoop::run(std::size_t episodes)
         async.snapshotEvery > 0 ? async.snapshotEvery : 1;
     lcfg.checkpointDir = async.checkpointDir;
     lcfg.checkpointEveryUpdates = async.checkpointEveryUpdates;
-    LearnerRunner learner(trainer, *storage, ringPtrs, layout,
+    LearnerRunner learner(trainer, *store, ringPtrs, layout,
                           snapshot, control, config, lcfg);
-    learner.setCheckpointStorage(buffers.get(), sharded.get());
     learner.setTelemetry(telemetry, telemetryEvery);
 
     SupervisorConfig scfg;

@@ -108,7 +108,7 @@ LearnerRunner::drainRings()
                 // add, and the trainer hears about it (sampler
                 // hints) right after. appendRecord is the raw-record
                 // fast path on every backend — a straight memcpy on
-                // interleaved/sharded stores.
+                // the sharded store.
                 const BufferIndex slot = store.writeCursor();
                 store.appendRecord(layout, rec);
                 trainer.onTransitionAdded(slot);
@@ -274,8 +274,7 @@ LearnerRunner::maybeCheckpoint(bool force)
 
     core::RunState state;
     state.trainer = &trainer;
-    state.buffers = ckptBuffers;
-    state.sharded = ckptSharded;
+    state.replay = &store;
     state.progress = &progress;
     const core::CkptResult saved = core::saveRotating(
         learnerConfig.checkpointDir, state, nullptr);

@@ -81,18 +81,6 @@ class LearnerRunner
                   LearnerConfig learner_config);
 
     /**
-     * Concrete storage pointers for checkpointing (RunState needs
-     * the typed sections, not the interface); either may be null.
-     * Call before the thread starts.
-     */
-    void setCheckpointStorage(replay::MultiAgentBuffer *buffers_in,
-                              replay::ShardedStore *sharded_in)
-    {
-        ckptBuffers = buffers_in;
-        ckptSharded = sharded_in;
-    }
-
-    /**
      * Stream one telemetry record per @p every_steps drained
      * transitions. Learner-thread only (the writer is single-
      * threaded); call before the thread starts.
@@ -143,8 +131,6 @@ class LearnerRunner
 
     core::CtdeTrainerBase &trainer;
     replay::ReplayStore &store;
-    replay::MultiAgentBuffer *ckptBuffers = nullptr;
-    replay::ShardedStore *ckptSharded = nullptr;
     std::vector<replay::TransitionRing *> rings;
     const replay::JointTransitionLayout &layout;
     PolicySnapshot &snapshot;

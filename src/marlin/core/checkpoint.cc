@@ -12,7 +12,6 @@
 #include "marlin/nn/serialize.hh"
 #include "marlin/obs/metrics.hh"
 #include "marlin/obs/trace.hh"
-#include "marlin/replay/sharded_store.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -41,7 +40,6 @@ constexpr std::uint32_t tagMeta = fourcc('M', 'E', 'T', 'A');
 constexpr std::uint32_t tagNets = fourcc('N', 'E', 'T', 'S');
 constexpr std::uint32_t tagTrainerRt = fourcc('T', 'R', 'T', 'S');
 constexpr std::uint32_t tagReplay = fourcc('R', 'P', 'L', 'Y');
-constexpr std::uint32_t tagInterleaved = fourcc('I', 'L', 'V', 'S');
 constexpr std::uint32_t tagSharded = fourcc('S', 'H', 'R', 'D');
 constexpr std::uint32_t tagEnvRng = fourcc('E', 'N', 'V', 'S');
 constexpr std::uint32_t tagLoop = fourcc('L', 'O', 'O', 'P');
@@ -58,7 +56,16 @@ tagName(std::uint32_t tag)
     return name;
 }
 
-/** Per-agent network + optimizer bodies (shared by v1 and NETS). */
+/** Section tag of @p store's backend: SHRD when sharded, else RPLY. */
+std::uint32_t
+replayTag(const replay::ReplayStore &store)
+{
+    return std::strcmp(store.backendName(), "sharded") == 0
+               ? tagSharded
+               : tagReplay;
+}
+
+/** Per-agent network + optimizer bodies (the NETS payload). */
 void
 writeNetworkBodies(std::ostream &os, CtdeTrainerBase &trainer)
 {
@@ -81,10 +88,10 @@ writeNetworkBodies(std::ostream &os, CtdeTrainerBase &trainer)
 }
 
 /**
- * Inverse of writeNetworkBodies. Fatal on mismatch: callers have
- * already ruled out architecture disagreement (via META or the v1
- * prelude), so a failure here is writer-side corruption that the
- * CRC should have caught — not a recoverable condition.
+ * Inverse of writeNetworkBodies. Fatal on mismatch: the caller has
+ * already ruled out architecture disagreement via META, so a failure
+ * here is writer-side corruption that the CRC should have caught —
+ * not a recoverable condition.
  */
 void
 readNetworkBodies(std::istream &is, CtdeTrainerBase &trainer)
@@ -139,12 +146,8 @@ metaPayload(const RunState &state)
     writeVector(os, dims);
     writePod<std::uint64_t>(os, trainer.actionDim());
     writePod<std::uint8_t>(os, trainer.twinCritic() ? 1 : 0);
-    std::uint64_t capacity = 0;
-    if (state.buffers)
-        capacity = state.buffers->capacity();
-    else if (state.sharded)
-        capacity = state.sharded->capacity();
-    writePod<std::uint64_t>(os, capacity);
+    writePod<std::uint64_t>(os,
+                            state.replay ? state.replay->capacity() : 0);
     return os.str();
 }
 
@@ -198,52 +201,6 @@ readAt(const std::string &image, std::size_t off, void *dst,
     return true;
 }
 
-/**
- * Version-1 files: networks only, preceded by the algorithm name and
- * agent count. Those two fields are pre-validated with explicit
- * bounds checks so the common mismatch cases come back as CkptResult
- * errors; only deep corruption of the network blobs still ends in a
- * fatal (v1 has no CRC to rule it out).
- */
-CkptResult
-loadLegacyImage(const std::string &image, const RunState &state)
-{
-    std::size_t off = 8;
-    std::uint64_t algo_len = 0;
-    if (!readAt(image, off, &algo_len, sizeof(algo_len)))
-        return CkptResult::fail(CkptError::Truncated,
-                                "v1 file ends inside algorithm tag");
-    off += sizeof(algo_len);
-    if (image.size() - off < algo_len)
-        return CkptResult::fail(CkptError::Truncated,
-                                "v1 file ends inside algorithm tag");
-    const std::string algo = image.substr(off, algo_len);
-    off += algo_len;
-    if (algo != state.trainer->name()) {
-        return CkptResult::fail(CkptError::AlgoMismatch,
-                                "checkpoint was written by '" + algo +
-                                    "' but trainer is '" +
-                                    state.trainer->name() + "'");
-    }
-    std::uint64_t agents = 0;
-    if (!readAt(image, off, &agents, sizeof(agents)))
-        return CkptResult::fail(CkptError::Truncated,
-                                "v1 file ends inside agent count");
-    if (agents != state.trainer->numAgents()) {
-        return CkptResult::fail(
-            CkptError::ShapeMismatch,
-            "checkpoint has " + std::to_string(agents) +
-                " agents, trainer has " +
-                std::to_string(state.trainer->numAgents()));
-    }
-
-    std::istringstream body(image.substr(off));
-    readNetworkBodies(body, *state.trainer);
-    CkptResult result = CkptResult::ok(checkpointVersionLegacy);
-    result.detail = "networks only (v1 file)";
-    return result;
-}
-
 struct SectionSpan
 {
     std::size_t off = 0;
@@ -264,17 +221,15 @@ loadImage(const std::string &image, const RunState &state)
     if (magic != checkpointMagic)
         return CkptResult::fail(CkptError::BadMagic,
                                 "not a MARLin checkpoint");
-    if (version > checkpointVersion) {
+    if (version != checkpointVersion) {
         CkptResult r = CkptResult::fail(
             CkptError::BadVersion,
             "written by format version " + std::to_string(version) +
-                ", newest supported is " +
+                ", this build reads only version " +
                 std::to_string(checkpointVersion));
         r.version = version;
         return r;
     }
-    if (version == checkpointVersionLegacy)
-        return loadLegacyImage(image, state);
 
     // ---- Section scan: bounds + CRC before anything is parsed ----
     std::map<std::uint32_t, SectionSpan> sections;
@@ -322,13 +277,13 @@ loadImage(const std::string &image, const RunState &state)
         std::uint32_t tag;
         bool wanted;
     };
+    const std::uint32_t tag_replay =
+        state.replay ? replayTag(*state.replay) : tagReplay;
     const Want wants[] = {
         {tagMeta, true},
         {tagNets, true},
         {tagTrainerRt, true},
-        {tagReplay, state.buffers != nullptr},
-        {tagInterleaved, state.store != nullptr},
-        {tagSharded, state.sharded != nullptr},
+        {tag_replay, state.replay != nullptr},
         {tagEnvRng, state.environment != nullptr},
         {tagLoop, state.progress != nullptr},
     };
@@ -372,30 +327,12 @@ loadImage(const std::string &image, const RunState &state)
                                     "checkpoint architecture does "
                                     "not match the trainer");
         }
-        if (state.buffers &&
-            capacity != state.buffers->capacity()) {
+        if (state.replay && capacity != state.replay->capacity()) {
             return CkptResult::fail(
                 CkptError::ShapeMismatch,
                 "checkpoint replay capacity " +
                     std::to_string(capacity) + " != run capacity " +
-                    std::to_string(state.buffers->capacity()));
-        }
-        if (state.store && capacity != state.store->capacity()) {
-            return CkptResult::fail(
-                CkptError::ShapeMismatch,
-                "checkpoint replay capacity " +
-                    std::to_string(capacity) +
-                    " != interleaved capacity " +
-                    std::to_string(state.store->capacity()));
-        }
-        if (state.sharded &&
-            capacity != state.sharded->capacity()) {
-            return CkptResult::fail(
-                CkptError::ShapeMismatch,
-                "checkpoint replay capacity " +
-                    std::to_string(capacity) +
-                    " != sharded capacity " +
-                    std::to_string(state.sharded->capacity()));
+                    std::to_string(state.replay->capacity()));
         }
     }
 
@@ -408,24 +345,10 @@ loadImage(const std::string &image, const RunState &state)
         std::istringstream body(payload(tagTrainerRt));
         state.trainer->loadRuntimeState(body);
     }
-    if (state.buffers) {
-        std::istringstream body(payload(tagReplay));
-        CkptResult r = liftStoreResult(
-            state.buffers->loadState(body), tagName(tagReplay));
-        if (!r)
-            return r;
-    }
-    if (state.store) {
-        std::istringstream body(payload(tagInterleaved));
-        CkptResult r = liftStoreResult(
-            state.store->loadState(body), tagName(tagInterleaved));
-        if (!r)
-            return r;
-    }
-    if (state.sharded) {
-        std::istringstream body(payload(tagSharded));
-        CkptResult r = liftStoreResult(
-            state.sharded->loadState(body), tagName(tagSharded));
+    if (state.replay) {
+        std::istringstream body(payload(tag_replay));
+        CkptResult r = liftStoreResult(state.replay->loadState(body),
+                                       tagName(tag_replay));
         if (!r)
             return r;
     }
@@ -515,20 +438,10 @@ saveRun(std::ostream &os, const RunState &state)
         state.trainer->saveRuntimeState(payload);
         writeSection(os, tagTrainerRt, payload.str());
     }
-    if (state.buffers) {
+    if (state.replay) {
         std::ostringstream payload;
-        state.buffers->saveState(payload);
-        writeSection(os, tagReplay, payload.str());
-    }
-    if (state.store) {
-        std::ostringstream payload;
-        state.store->saveState(payload);
-        writeSection(os, tagInterleaved, payload.str());
-    }
-    if (state.sharded) {
-        std::ostringstream payload;
-        state.sharded->saveState(payload);
-        writeSection(os, tagSharded, payload.str());
+        state.replay->saveState(payload);
+        writeSection(os, replayTag(*state.replay), payload.str());
     }
     if (state.environment) {
         std::ostringstream payload;
@@ -718,45 +631,6 @@ resumeLatest(const std::string &dir, const RunState &state)
     if (from_previous.error == CkptError::NotFound)
         return from_latest;
     return from_previous;
-}
-
-void
-saveTrainer(std::ostream &os, CtdeTrainerBase &trainer)
-{
-    writeHeader(os, checkpointMagic, checkpointVersionLegacy);
-    writeString(os, trainer.name());
-    writeNetworkBodies(os, trainer);
-}
-
-void
-loadTrainer(std::istream &is, CtdeTrainerBase &trainer)
-{
-    readHeader(is, checkpointMagic, checkpointVersionLegacy);
-    const std::string algo = readString(is);
-    if (algo != trainer.name())
-        fatal("checkpoint was written by '%s' but trainer is '%s'",
-              algo.c_str(), trainer.name().c_str());
-    readNetworkBodies(is, trainer);
-}
-
-void
-saveTrainerFile(const std::string &path, CtdeTrainerBase &trainer)
-{
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatal("cannot open '%s' for writing", path.c_str());
-    saveTrainer(os, trainer);
-    if (!os)
-        fatal("failed while writing checkpoint '%s'", path.c_str());
-}
-
-void
-loadTrainerFile(const std::string &path, CtdeTrainerBase &trainer)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        fatal("cannot open checkpoint '%s'", path.c_str());
-    loadTrainer(is, trainer);
 }
 
 } // namespace marlin::core

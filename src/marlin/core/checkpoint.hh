@@ -2,15 +2,15 @@
  * @file
  * Crash-safe run checkpointing.
  *
- * Version 1 (legacy, still readable) stored only the trainer
- * networks and Adam state. Version 2 snapshots the complete run —
- * networks, trainer runtime (RNG streams, noise processes, sampler
- * state, update counters), replay buffers, the interleaved store,
- * the environment RNG and the loop progress — as a sequence of
- * CRC-guarded sections, so a run killed at an arbitrary step resumes
- * bit-identically from the last episode boundary.
+ * A checkpoint snapshots the complete run — networks, trainer
+ * runtime (RNG streams, noise processes, sampler state, update
+ * counters), the replay store, the environment RNG and the loop
+ * progress — as a sequence of CRC-guarded sections, so a run killed
+ * at an arbitrary step resumes bit-identically from the last episode
+ * boundary. Version 2 is the only format: files of any other version
+ * are refused with BadVersion.
  *
- * File layout (version 2):
+ * File layout:
  *
  *   [u32 magic "MRLC"][u32 version]
  *   repeated: [u32 tag][u64 payload_len][payload][u32 crc32(payload)]
@@ -33,22 +33,14 @@
 #include "marlin/core/maddpg.hh"
 #include "marlin/env/environment.hh"
 
-namespace marlin::replay
-{
-class ShardedStore;
-}
-
 namespace marlin::core
 {
 
 /** Magic tag of MARLin trainer checkpoints ("MRLC"). */
 inline constexpr std::uint32_t checkpointMagic = 0x4d524c43;
 
-/** Current checkpoint format version (sectioned, CRC-guarded). */
+/** Checkpoint format version (sectioned, CRC-guarded). */
 inline constexpr std::uint32_t checkpointVersion = 2;
-
-/** Networks-only format written by saveTrainer (still readable). */
-inline constexpr std::uint32_t checkpointVersionLegacy = 1;
 
 /** How a checkpoint load can fail; None means success. */
 enum class CkptError
@@ -58,7 +50,7 @@ enum class CkptError
     IoError,        ///< Open/read/write syscall failure.
     Truncated,      ///< File ends mid-header or mid-section.
     BadMagic,       ///< Not a MARLin checkpoint.
-    BadVersion,     ///< Written by a newer format than we read.
+    BadVersion,     ///< Any format version other than 2.
     CrcMismatch,    ///< A section's payload fails its CRC footer.
     MissingSection, ///< A section the caller requested is absent.
     AlgoMismatch,   ///< Written by a different algorithm (e.g. matd3).
@@ -113,17 +105,16 @@ struct LoopProgress
 /**
  * Names everything a full-state checkpoint covers. The trainer is
  * mandatory; every other member may be null, in which case its
- * section is neither written on save nor demanded on load. Loading
- * a version-1 file restores the networks only and leaves the rest
- * untouched (CkptResult::version tells the caller which happened).
+ * section is neither written on save nor demanded on load.
  */
 struct RunState
 {
     CtdeTrainerBase *trainer = nullptr;
-    replay::MultiAgentBuffer *buffers = nullptr;
-    replay::InterleavedReplayStore *store = nullptr;
-    /** Sharded/out-of-core engine (SHRD section; PR-10). */
-    replay::ShardedStore *sharded = nullptr;
+    /**
+     * Replay storage, in the section tag of its backend: RPLY for
+     * "per_agent", SHRD for "sharded".
+     */
+    replay::ReplayStore *replay = nullptr;
     env::Environment *environment = nullptr;
     LoopProgress *progress = nullptr;
 };
@@ -132,9 +123,9 @@ struct RunState
 void saveRun(std::ostream &os, const RunState &state);
 
 /**
- * Restore a checkpoint (version 1 or 2) into @p state. All sections
- * are CRC- and shape-validated before anything is mutated, so a
- * failed load leaves @p state exactly as it was.
+ * Restore a checkpoint into @p state. All sections are CRC- and
+ * shape-validated before anything is mutated, so a failed load
+ * leaves @p state exactly as it was.
  */
 CkptResult loadRun(std::istream &is, const RunState &state);
 
@@ -173,17 +164,6 @@ CkptResult saveRotating(const std::string &dir, const RunState &state,
  */
 CkptResult resumeLatest(const std::string &dir,
                         const RunState &state);
-
-/**
- * Legacy networks-only API (version-1 files), kept for callers that
- * only move weights between runs. Fatal on mismatch.
- */
-void saveTrainer(std::ostream &os, CtdeTrainerBase &trainer);
-void loadTrainer(std::istream &is, CtdeTrainerBase &trainer);
-void saveTrainerFile(const std::string &path,
-                     CtdeTrainerBase &trainer);
-void loadTrainerFile(const std::string &path,
-                     CtdeTrainerBase &trainer);
 
 } // namespace marlin::core
 

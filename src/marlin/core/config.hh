@@ -24,15 +24,13 @@ enum class SamplingBackend
     /** Baseline: per-agent SoA buffers, O(N*B) gathers per trainer. */
     PerAgent,
     /**
-     * Section IV-B2 layout reorganization: an interleaved key-value
-     * store maintained alongside the buffers; gathers are O(B).
-     */
-    Interleaved,
-    /**
-     * PR-10 replay engine: power-of-two shards of interleaved joint
-     * records with an optional mmap-backed cold tier, so capacity
-     * can exceed RAM. Sampling stays bit-identical for any shard
-     * count (logical index space is shard-independent).
+     * Record-major joint records (one JointTransitionLayout record
+     * per timestep) in power-of-two shards with an optional
+     * mmap-backed cold tier, so capacity can exceed RAM. With the
+     * default knobs — one all-hot shard — this is the Section IV-B2
+     * layout reorganization: gathers are O(B) record reads. Sampling
+     * stays bit-identical for any shard count (logical index space
+     * is shard-independent).
      */
     Sharded
 };

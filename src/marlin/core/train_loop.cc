@@ -6,6 +6,7 @@
 #include "marlin/base/alloc_guard.hh"
 #include "marlin/base/logging.hh"
 #include "marlin/obs/metrics.hh"
+#include "marlin/replay/sharded_store.hh"
 
 namespace marlin::core
 {
@@ -34,42 +35,34 @@ shapesFor(const env::Environment &environment,
 
 } // namespace
 
+std::unique_ptr<replay::ReplayStore>
+makeReplayStore(const TrainConfig &config,
+                std::vector<replay::TransitionShape> shapes)
+{
+    // Shard/cold-dir knobs imply the sharded backend even when the
+    // caller left config.backend at its PerAgent default.
+    const bool sharded = config.backend == SamplingBackend::Sharded ||
+                         config.replayShards > 1 ||
+                         !config.replayColdDir.empty();
+    if (!sharded)
+        return std::make_unique<replay::MultiAgentBuffer>(
+            std::move(shapes), config.bufferCapacity);
+    replay::ShardedStoreConfig sc;
+    sc.shards = config.replayShards;
+    sc.hotCapacity = config.replayHotCapacity;
+    sc.coldDir = config.replayColdDir;
+    return std::make_unique<replay::ShardedStore>(
+        std::move(shapes), config.bufferCapacity, sc);
+}
+
 TrainLoop::TrainLoop(env::Environment &environment_in,
                      Trainer &trainer_in, TrainConfig config_in)
     : environment(environment_in), trainer(trainer_in),
-      config(std::move(config_in))
+      config(std::move(config_in)),
+      store(makeReplayStore(config, shapesFor(environment, config)))
 {
     MARLIN_ASSERT(trainer.numAgents() == environment.numAgents(),
                   "trainer/environment agent count mismatch");
-    // Shard/cold-dir flags imply the sharded backend even when the
-    // caller left config.backend at a hot-tier default.
-    const bool want_sharded =
-        config.backend == SamplingBackend::Sharded ||
-        config.replayShards > 1 || !config.replayColdDir.empty();
-    if (want_sharded) {
-        config.backend = SamplingBackend::Sharded;
-        replay::ShardedStoreConfig sc;
-        sc.shards = config.replayShards;
-        sc.hotCapacity = config.replayHotCapacity;
-        sc.coldDir = config.replayColdDir;
-        sharded = std::make_unique<replay::ShardedStore>(
-            shapesFor(environment, config), config.bufferCapacity,
-            sc);
-        active = sharded.get();
-    } else {
-        buffers = std::make_unique<replay::MultiAgentBuffer>(
-            shapesFor(environment, config), config.bufferCapacity);
-        active = buffers.get();
-        if (config.backend == SamplingBackend::Interleaved) {
-            store =
-                std::make_unique<replay::InterleavedReplayStore>(
-                    shapesFor(environment, config),
-                    config.bufferCapacity);
-            // Gathers run against the reorganized layout; the
-            // per-agent rings stay authoritative for checkpoints.
-            active = store.get();
-        }
-    }
 }
 
 void
@@ -140,9 +133,7 @@ TrainLoop::runState(CtdeTrainerBase *ctde)
 {
     RunState state;
     state.trainer = ctde;
-    state.buffers = buffers.get();
-    state.store = store.get();
-    state.sharded = sharded.get();
+    state.replay = store.get();
     state.environment = &environment;
     state.progress = &progress;
     return state;
@@ -310,20 +301,10 @@ TrainLoop::run(std::size_t episodes, const EpisodeCallback &callback)
             }
             {
                 ScopedPhase sp(result.timer, Phase::BufferAdd);
-                const BufferIndex slot = active->writeCursor();
-                if (buffers) {
-                    buffers->add(obs, onehots, step.rewards,
-                                 step.observations, step.dones);
-                } else {
-                    sharded->append(obs, onehots, step.rewards,
-                                    step.observations, step.dones);
-                }
-                trainer.onTransitionAdded(slot);
-            }
-            if (store) {
-                ScopedPhase reorg(result.timer, Phase::LayoutReorg);
+                const BufferIndex slot = store->writeCursor();
                 store->append(obs, onehots, step.rewards,
                               step.observations, step.dones);
+                trainer.onTransitionAdded(slot);
             }
             ++progress.insertionsSinceUpdate;
 
@@ -334,15 +315,15 @@ TrainLoop::run(std::size_t episodes, const EpisodeCallback &callback)
             std::swap(obs, step.observations);
 
             const bool warm =
-                active->size() >= config.warmupTransitions &&
-                active->size() >=
+                store->size() >= config.warmupTransitions &&
+                store->size() >=
                     static_cast<BufferIndex>(config.batchSize);
             bool did_update = false;
             UpdateStats stats;
             if (warm && progress.insertionsSinceUpdate >=
                             config.updateEvery) {
                 progress.insertionsSinceUpdate = 0;
-                stats = trainer.update(*active, result.timer);
+                stats = trainer.update(*store, result.timer);
                 ++progress.updateCalls;
                 ++liveUpdates;
                 did_update = true;

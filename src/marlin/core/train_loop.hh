@@ -19,7 +19,6 @@
 
 #include "marlin/core/checkpoint.hh"
 #include "marlin/core/trainer.hh"
-#include "marlin/replay/sharded_store.hh"
 #include "marlin/env/environment.hh"
 #include "marlin/obs/telemetry.hh"
 
@@ -86,12 +85,15 @@ struct CheckpointOptions
 };
 
 /**
- * Owns the replay storage and drives the environment/trainer pair.
- *
- * With SamplingBackend::Interleaved the loop also maintains the
- * reorganized key-value store next to the per-agent buffers,
- * charging its maintenance to the LayoutReorg phase.
+ * The replay store @p config selects for @p shapes: a ShardedStore
+ * when the backend is Sharded or any shard/cold-tier knob is set,
+ * otherwise the per-agent MultiAgentBuffer.
  */
+std::unique_ptr<replay::ReplayStore>
+makeReplayStore(const TrainConfig &config,
+                std::vector<replay::TransitionShape> shapes);
+
+/** Owns the replay storage and drives the environment/trainer pair. */
 class TrainLoop
 {
   public:
@@ -138,34 +140,8 @@ class TrainLoop
     TrainResult run(std::size_t episodes,
                     const EpisodeCallback &callback = nullptr);
 
-    /**
-     * Per-agent buffers (PerAgent/Interleaved backends only; the
-     * sharded backend owns no per-agent rings).
-     */
-    const replay::MultiAgentBuffer &
-    buffer() const
-    {
-        MARLIN_ASSERT(buffers != nullptr,
-                      "no per-agent buffers under this backend");
-        return *buffers;
-    }
-
     /** The replay storage the trainer samples from. */
-    const replay::ReplayStore &replayStore() const { return *active; }
-
-    /** Null unless the interleaved backend is active. */
-    const replay::InterleavedReplayStore *
-    interleavedStore() const
-    {
-        return store.get();
-    }
-
-    /** Null unless the sharded backend is active. */
-    const replay::ShardedStore *
-    shardedStore() const
-    {
-        return sharded.get();
-    }
+    const replay::ReplayStore &replayStore() const { return *store; }
 
     /** Episodes completed so far (survives checkpoint/resume). */
     std::size_t episodesCompleted() const
@@ -177,14 +153,8 @@ class TrainLoop
     env::Environment &environment;
     Trainer &trainer;
     TrainConfig config;
-    /** Per-agent rings (null under the sharded backend, so a 100M
-     *  out-of-core capacity never materializes in RAM). */
-    std::unique_ptr<replay::MultiAgentBuffer> buffers;
-    std::unique_ptr<replay::InterleavedReplayStore> store;
-    /** Sharded/tiered storage (sharded backend only). */
-    std::unique_ptr<replay::ShardedStore> sharded;
-    /** The store the trainer samples from (never null). */
-    replay::ReplayStore *active = nullptr;
+    /** The one replay store (see makeReplayStore; never null). */
+    std::unique_ptr<replay::ReplayStore> store;
     /** Resumable run progress (serialized in the LOOP section). */
     LoopProgress progress;
     CheckpointOptions ckptOptions;

@@ -15,7 +15,7 @@
 
 #include "marlin/core/config.hh"
 #include "marlin/profile/timer.hh"
-#include "marlin/replay/interleaved_store.hh"
+#include "marlin/replay/gather.hh"
 #include "marlin/replay/replay_buffer.hh"
 #include "marlin/replay/sampler.hh"
 
@@ -135,7 +135,7 @@ class Trainer
      * a mini-batch, compute target Q, and update critic/actor.
      *
      * @param store Replay storage behind the ReplayStore interface
-     *              (per-agent, interleaved or sharded/out-of-core) —
+     *              (per-agent or sharded/out-of-core) —
      *              samplers plan over store.size() and batches are
      *              gathered through store.gatherAll, so trainers are
      *              agnostic to the storage layout.

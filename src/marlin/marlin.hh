@@ -20,7 +20,6 @@
 #include "marlin/base/string_utils.hh"
 #include "marlin/base/thread_pool.hh"
 #include "marlin/base/worker_thread.hh"
-#include "marlin/base/workspace.hh"
 #include "marlin/core/checkpoint.hh"
 #include "marlin/core/config.hh"
 #include "marlin/core/evaluator.hh"
@@ -40,7 +39,6 @@
 #include "marlin/obs/telemetry.hh"
 #include "marlin/obs/trace.hh"
 #include "marlin/profile/report.hh"
-#include "marlin/replay/aos_buffer.hh"
 #include "marlin/replay/info_prioritized_sampler.hh"
 #include "marlin/replay/locality_sampler.hh"
 #include "marlin/replay/prioritized_sampler.hh"

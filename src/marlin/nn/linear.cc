@@ -37,7 +37,7 @@ Linear::backward(const Matrix &grad_y, Matrix &grad_x)
     weight.grad += dwScratch;
     numeric::sumRowsInto(grad_y, dbScratch);
     bias.grad += dbScratch;
-    numeric::gemmNT(grad_y, weight.value, grad_x);
+    numeric::gemmNT(grad_y, weight.value, grad_x, packScratch);
 }
 
 std::vector<Param *>

@@ -79,6 +79,11 @@ class Linear
     // backprop performs no heap allocations.
     Matrix dwScratch;
     Matrix dbScratch;
+    // gemmNT's packed W^T for dL/dx, sized by the first backward().
+    // Owned by the layer rather than the calling thread, so an agent
+    // update reaching a pool worker for the first time after warm-up
+    // finds it already sized.
+    std::vector<Real> packScratch;
 };
 
 } // namespace marlin::nn

@@ -5,7 +5,6 @@
 
 #include "marlin/base/compiler.hh"
 #include "marlin/base/thread_pool.hh"
-#include "marlin/base/workspace.hh"
 #include "marlin/numeric/kernels.hh"
 
 namespace marlin::numeric
@@ -198,7 +197,8 @@ gemmNTRows(const kernels::KernelTable &kt, const Matrix &a,
 } // namespace
 
 void
-gemmNT(const Matrix &a, const Matrix &b, Matrix &c)
+gemmNT(const Matrix &a, const Matrix &b, Matrix &c,
+       std::vector<Real> &pack)
 {
     const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
     MARLIN_ASSERT(b.cols() == k, "gemmNT inner dimension mismatch");
@@ -207,19 +207,17 @@ gemmNT(const Matrix &a, const Matrix &b, Matrix &c)
         return;
 
     // Pack B^T once (pure data movement, so exact); amortized over
-    // the m output rows. The buffer comes from the thread-local
-    // Workspace — per-agent updates run whole gemmNT calls inside
-    // pool workers concurrently, and the slot's capacity persists at
-    // its high-water mark so warm calls never touch the allocator.
-    std::vector<Real> &packed =
-        base::Workspace::threadLocal().scratch(base::wsGemmNTPack,
-                                               k * n);
+    // the m output rows. The caller owns the buffer, so it grows on
+    // the first call with this B shape and is reused after, on
+    // whichever pool worker the call happens to run.
+    if (pack.size() < k * n)
+        pack.resize(k * n);
     for (std::size_t j = 0; j < n; ++j) {
         const Real *brow = b.row(j);
         for (std::size_t kk = 0; kk < k; ++kk)
-            packed[kk * n + j] = brow[kk];
+            pack[kk * n + j] = brow[kk];
     }
-    const Real *bt = packed.data();
+    const Real *bt = pack.data();
 
     const kernels::KernelTable &kt = kernels::active();
     base::ThreadPool &pool = base::ThreadPool::global();

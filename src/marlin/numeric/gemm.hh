@@ -13,6 +13,8 @@
 #ifndef MARLIN_NUMERIC_GEMM_HH
 #define MARLIN_NUMERIC_GEMM_HH
 
+#include <vector>
+
 #include "marlin/numeric/matrix.hh"
 
 namespace marlin::numeric
@@ -27,8 +29,13 @@ void gemmAcc(const Matrix &a, const Matrix &b, Matrix &c);
 /** C = A^T * B. Shapes: A(k,m), B(k,n) -> C(m,n). */
 void gemmTN(const Matrix &a, const Matrix &b, Matrix &c);
 
-/** C = A * B^T. Shapes: A(m,k), B(n,k) -> C(m,n). */
-void gemmNT(const Matrix &a, const Matrix &b, Matrix &c);
+/**
+ * C = A * B^T. Shapes: A(m,k), B(n,k) -> C(m,n). B^T is packed into
+ * @p pack, which the caller keeps between calls: it grows to k*n
+ * Reals once and is reused after, so a warm call never allocates.
+ */
+void gemmNT(const Matrix &a, const Matrix &b, Matrix &c,
+            std::vector<Real> &pack);
 
 } // namespace marlin::numeric
 

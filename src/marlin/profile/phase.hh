@@ -25,7 +25,6 @@ enum class Phase : std::size_t
     TargetQ,             ///< Next actions + target critic forward.
     QPLoss,              ///< Critic/actor losses + backprop + Adam.
     BufferAdd,           ///< Replay insertion ("other segments").
-    LayoutReorg,         ///< Data layout reshaping (Section IV-B2).
     NumPhases
 };
 
@@ -49,16 +48,14 @@ phaseName(Phase p)
         return "q_p_loss";
       case Phase::BufferAdd:
         return "buffer_add";
-      case Phase::LayoutReorg:
-        return "layout_reorg";
       default:
         return "?";
     }
 }
 
 /** Phases composing the paper's "update all trainers" stage. */
-inline constexpr std::array<Phase, 4> updateAllTrainersPhases = {
-    Phase::Sampling, Phase::TargetQ, Phase::QPLoss, Phase::LayoutReorg};
+inline constexpr std::array<Phase, 3> updateAllTrainersPhases = {
+    Phase::Sampling, Phase::TargetQ, Phase::QPLoss};
 
 } // namespace marlin::profile
 

@@ -38,8 +38,6 @@ updateBreakdown(const PhaseTimer &timer)
     b.samplingPct = pct(timer.seconds(Phase::Sampling), b.totalSeconds);
     b.targetQPct = pct(timer.seconds(Phase::TargetQ), b.totalSeconds);
     b.qpLossPct = pct(timer.seconds(Phase::QPLoss), b.totalSeconds);
-    b.layoutReorgPct =
-        pct(timer.seconds(Phase::LayoutReorg), b.totalSeconds);
     return b;
 }
 
@@ -56,9 +54,9 @@ std::string
 formatUpdate(const UpdateBreakdown &b)
 {
     return csprintf("update %.2fs | sampling %.1f%% | target_q %.1f%% "
-                    "| q_p_loss %.1f%% | layout_reorg %.1f%%",
+                    "| q_p_loss %.1f%%",
                     b.totalSeconds, b.samplingPct, b.targetQPct,
-                    b.qpLossPct, b.layoutReorgPct);
+                    b.qpLossPct);
 }
 
 std::string

@@ -28,7 +28,6 @@ struct UpdateBreakdown
     double samplingPct = 0;
     double targetQPct = 0;
     double qpLossPct = 0;
-    double layoutReorgPct = 0;
     double totalSeconds = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "marlin/replay/replay_buffer.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -22,19 +23,14 @@ writeRegion(std::ostream &os, const std::vector<Real> &data,
              static_cast<std::streamsize>(count * sizeof(Real)));
 }
 
-/** Read @p count elements into the front of @p data. */
-void
-readRegion(std::istream &is, std::vector<Real> &data,
-           std::size_t count)
+/** Read @p count elements into @p out; false on a short read. */
+bool
+readRegion(std::istream &is, std::vector<Real> &out, std::size_t count)
 {
-    MARLIN_ASSERT(count <= data.size(),
-                  "checkpoint region exceeds buffer storage");
-    is.read(reinterpret_cast<char *>(data.data()),
+    out.resize(count);
+    is.read(reinterpret_cast<char *>(out.data()),
             static_cast<std::streamsize>(count * sizeof(Real)));
-    if (!is)
-        fatal("checkpoint truncated while reading replay region of "
-              "%zu scalars",
-              count);
+    return static_cast<bool>(is);
 }
 
 /** Non-fatal readPod: false on a short read. */
@@ -200,7 +196,7 @@ ReplayBuffer::saveState(std::ostream &os) const
 }
 
 StoreLoadResult
-ReplayBuffer::loadState(std::istream &is)
+ReplayBuffer::stageState(std::istream &is, StagedState &out) const
 {
     // Geometry gate: shape AND capacity must match the constructed
     // buffer before any data region is read. Capacity in particular
@@ -240,14 +236,31 @@ ReplayBuffer::loadState(std::istream &is)
                 std::to_string(size) + ", pos " +
                 std::to_string(cursor) + ") exceed capacity " +
                 std::to_string(_capacity));
-    _size = size;
-    pos = cursor;
-    readRegion(is, obsData, _size * _shape.obsDim);
-    readRegion(is, actData, _size * _shape.actDim);
-    readRegion(is, rewData, _size);
-    readRegion(is, nextObsData, _size * _shape.obsDim);
-    readRegion(is, doneData, _size);
+    out.size = size;
+    out.pos = cursor;
+    const std::size_t n = out.size;
+    if (!readRegion(is, out.obs, n * _shape.obsDim) ||
+        !readRegion(is, out.act, n * _shape.actDim) ||
+        !readRegion(is, out.rew, n) ||
+        !readRegion(is, out.nextObs, n * _shape.obsDim) ||
+        !readRegion(is, out.done, n))
+        return StoreLoadResult::fail(StoreLoadError::Truncated,
+                                     "replay buffer data truncated");
     return StoreLoadResult::ok();
+}
+
+void
+ReplayBuffer::commitState(const StagedState &staged)
+{
+    _size = staged.size;
+    pos = staged.pos;
+    std::copy(staged.obs.begin(), staged.obs.end(), obsData.begin());
+    std::copy(staged.act.begin(), staged.act.end(), actData.begin());
+    std::copy(staged.rew.begin(), staged.rew.end(), rewData.begin());
+    std::copy(staged.nextObs.begin(), staged.nextObs.end(),
+              nextObsData.begin());
+    std::copy(staged.done.begin(), staged.done.end(),
+              doneData.begin());
 }
 
 void
@@ -272,11 +285,17 @@ MultiAgentBuffer::loadState(std::istream &is)
             "replay checkpoint has " + std::to_string(count) +
                 " agents, buffer set has " +
                 std::to_string(buffers.size()));
-    for (ReplayBuffer &b : buffers) {
-        const StoreLoadResult result = b.loadState(is);
+    // Stage every agent before committing any: a geometry mismatch or
+    // a short read on a later agent must leave all rings in sync.
+    std::vector<ReplayBuffer::StagedState> staged(buffers.size());
+    for (std::size_t i = 0; i < buffers.size(); ++i) {
+        const StoreLoadResult result =
+            buffers[i].stageState(is, staged[i]);
         if (!result)
             return result;
     }
+    for (std::size_t i = 0; i < buffers.size(); ++i)
+        buffers[i].commitState(staged[i]);
     return StoreLoadResult::ok();
 }
 

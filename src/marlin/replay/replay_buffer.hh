@@ -90,13 +90,25 @@ class ReplayBuffer
      */
     void saveState(std::ostream &os) const;
 
+    /** A saveState payload that has been read but not applied. */
+    struct StagedState
+    {
+        BufferIndex size = 0;
+        BufferIndex pos = 0;
+        std::vector<Real> obs, act, rew, nextObs, done;
+    };
+
     /**
-     * Restore state written by saveState on a same-shape buffer.
-     * Geometry (shape AND capacity) is validated against this
-     * buffer before any data is touched; a mismatch returns a typed
-     * error instead of relying on downstream shape checks.
+     * Read state written by saveState into @p out without touching
+     * this buffer. Geometry (shape AND capacity) is validated before
+     * any data region is read; a mismatch or a short read returns a
+     * typed error.
      */
-    StoreLoadResult loadState(std::istream &is);
+    StoreLoadResult stageState(std::istream &is,
+                               StagedState &out) const;
+
+    /** Apply a successfully staged state; cannot fail. */
+    void commitState(const StagedState &staged);
 
   private:
     TransitionShape _shape;
@@ -159,17 +171,6 @@ class MultiAgentBuffer : public ReplayStore
                 const std::vector<std::vector<Real>> &next_obs,
                 const std::vector<bool> &dones) override;
 
-    /** Historical name for append(); kept for existing call sites. */
-    void
-    add(const std::vector<std::vector<Real>> &obs,
-        const std::vector<std::vector<Real>> &actions,
-        const std::vector<Real> &rewards,
-        const std::vector<std::vector<Real>> &next_obs,
-        const std::vector<bool> &dones)
-    {
-        append(obs, actions, rewards, next_obs, dones);
-    }
-
     /** Scatter one packed joint record into every agent's ring. */
     void appendRecord(const JointTransitionLayout &layout,
                       const Real *rec) override;
@@ -188,7 +189,11 @@ class MultiAgentBuffer : public ReplayStore
     /** Serialize every agent's buffer state. */
     void saveState(std::ostream &os) const override;
 
-    /** Restore state written by saveState (same shapes/capacity). */
+    /**
+     * Restore state written by saveState (same shapes/capacity).
+     * Every agent is staged before any is committed, so a failed
+     * load leaves all rings as they were.
+     */
     StoreLoadResult loadState(std::istream &is) override;
 
   private:

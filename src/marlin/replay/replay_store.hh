@@ -4,12 +4,13 @@
  *
  * PR-10 splits replay into *policy* (samplers, which plan indices
  * over a logical slot space) and *storage* (this interface, which
- * maps logical slots to bytes). The three implementations are:
+ * maps logical slots to bytes). The two implementations are:
  *
- *   - MultiAgentBuffer       per-agent SoA rings (the baseline)
- *   - InterleavedReplayStore record-major joint store (Figure 14)
- *   - ShardedStore           power-of-two shards with an optional
- *                            mmap-backed cold tier (out-of-core)
+ *   - MultiAgentBuffer  per-agent SoA rings (the baseline)
+ *   - ShardedStore      record-major joint records in power-of-two
+ *                       shards with an optional mmap-backed cold
+ *                       tier; one all-hot shard is the Section IV-B2
+ *                       reorganized layout of Figure 14
  *
  * Determinism contract (mirrors the PR-1 thread-count contract):
  * samplers draw over the logical index space [0, size()) only, and
@@ -57,9 +58,7 @@ enum class StoreLoadError
  * a mid-payload truncation included — leaves the store's previous
  * contents intact, and the caller (core/checkpoint.cc) can map the
  * category onto its own CkptError without re-deriving the cause
- * from downstream shape checks. (ReplayBuffer is the one exception:
- * a data-region short read is fatal, so no failure path there
- * returns control over a half-mutated buffer either.)
+ * from downstream shape checks.
  */
 struct StoreLoadResult
 {

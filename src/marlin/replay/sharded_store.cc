@@ -177,37 +177,49 @@ ShardedStore::isHot(BufferIndex slot) const
 const Real *
 ShardedStore::recordAt(BufferIndex slot, bool *cold_hit) const
 {
-    const std::size_t s = slot & (shards_.size() - 1);
-    const Shard &sh = shards_[s];
+    const Shard &sh = shards_[slot & (shards_.size() - 1)];
     const BufferIndex j = slot >> shardBits;
-    if (isHot(slot)) {
-        *cold_hit = false;
+    *cold_hit = false;
+    // Without a cold tier the shard is all-hot (hotSlots ==
+    // shardSlots), so the shard-local slot is the hot slot: no
+    // residency test and no modulo on the gather path.
+    if (!sh.cold)
+        return sh.hot.data() +
+               static_cast<std::size_t>(j) * _layout.stride;
+    if (isHot(slot))
         return sh.hot.data() +
                static_cast<std::size_t>(j % hotSlots) *
                    _layout.stride;
-    }
     *cold_hit = true;
     faultedCounter().add();
     return sh.cold->readRecord(j);
 }
 
 void
-ShardedStore::scatterRecord(const Real *rec, std::size_t row,
-                            std::vector<AgentBatch> &out,
-                            AccessTrace *trace) const
+ShardedStore::scatterRecord(const numeric::kernels::KernelTable &kt,
+                            const Real *rec, std::size_t row,
+                            std::vector<AgentBatch> &out) const
 {
-    (void)trace;
-    const numeric::kernels::KernelTable &kt =
-        numeric::kernels::active();
-    for (std::size_t a = 0; a < shapes.size(); ++a) {
-        const JointTransitionLayout::AgentBlock &blk =
-            _layout.agents[a];
-        AgentBatch &dst = out[a];
-        kt.copy(rec + blk.obs, dst.obs.row(row), blk.obsDim);
-        kt.copy(rec + blk.act, dst.actions.row(row), blk.actDim);
-        dst.rewards(row, 0) = rec[blk.reward];
-        kt.copy(rec + blk.nextObs, dst.nextObs.row(row), blk.obsDim);
-        dst.dones(row, 0) = rec[blk.done];
+    // Locals, not members, carry the loop: the indirect kernel calls
+    // would otherwise force a reload of every member per field.
+    const std::size_t n = shapes.size();
+    const JointTransitionLayout::AgentBlock *blocks =
+        _layout.agents.data();
+    AgentBatch *dst = out.data();
+    for (std::size_t a = 0; a < n; ++a) {
+        // Each agent's block is obs | act | reward | nextObs | done,
+        // back to back, so one cursor walks it.
+        const std::size_t obs_dim = blocks[a].obsDim;
+        const std::size_t act_dim = blocks[a].actDim;
+        const Real *src = rec + blocks[a].obs;
+        kt.copy(src, dst[a].obs.row(row), obs_dim);
+        src += obs_dim;
+        kt.copy(src, dst[a].actions.row(row), act_dim);
+        src += act_dim;
+        dst[a].rewards(row, 0) = *src++;
+        kt.copy(src, dst[a].nextObs.row(row), obs_dim);
+        src += obs_dim;
+        dst[a].dones(row, 0) = *src;
     }
 }
 
@@ -231,9 +243,10 @@ ShardedStore::gatherAgent(std::size_t agent, const IndexPlan &plan,
 
     const numeric::kernels::KernelTable &kt =
         numeric::kernels::active();
+    const BufferIndex valid = size();
     for (std::size_t b = 0; b < batch; ++b) {
         const BufferIndex idx = plan.indices[b];
-        MARLIN_ASSERT(idx < size(),
+        MARLIN_ASSERT(idx < valid,
                       "gather index beyond valid transitions");
         bool cold_hit = false;
         const Real *rec = recordAt(idx, &cold_hit);
@@ -273,9 +286,13 @@ ShardedStore::gatherAll(const IndexPlan &plan,
     recs.add(batch);
     bytes.add(batch * _layout.stride * sizeof(Real));
 
+    // One record read per index serves every agent (Section IV-B2).
+    const numeric::kernels::KernelTable &kt =
+        numeric::kernels::active();
+    const BufferIndex valid = size();
     for (std::size_t b = 0; b < batch; ++b) {
         const BufferIndex idx = plan.indices[b];
-        MARLIN_ASSERT(idx < size(),
+        MARLIN_ASSERT(idx < valid,
                       "gather index beyond valid transitions");
         bool cold_hit = false;
         const Real *rec = recordAt(idx, &cold_hit);
@@ -286,7 +303,7 @@ ShardedStore::gatherAll(const IndexPlan &plan,
                         _layout.stride * sizeof(Real));
             rec = coldStage.data();
         }
-        scatterRecord(rec, b, out, trace);
+        scatterRecord(kt, rec, b, out);
     }
 }
 

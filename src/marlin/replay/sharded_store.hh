@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "marlin/numeric/kernels.hh"
 #include "marlin/replay/cold_tier.hh"
 #include "marlin/replay/replay_store.hh"
 #include "marlin/replay/transition_ring.hh"
@@ -141,9 +142,9 @@ class ShardedStore : public ReplayStore
     const Real *recordAt(BufferIndex slot, bool *cold_hit) const;
 
     /** Copy one record's agent fields into the batch row. */
-    void scatterRecord(const Real *rec, std::size_t row,
-                       std::vector<AgentBatch> &out,
-                       AccessTrace *trace) const;
+    void scatterRecord(const numeric::kernels::KernelTable &kt,
+                       const Real *rec, std::size_t row,
+                       std::vector<AgentBatch> &out) const;
 
     std::vector<TransitionShape> shapes;
     JointTransitionLayout _layout;

@@ -75,7 +75,8 @@ void packRecord(Real *dst, const JointTransitionLayout &layout,
 /**
  * Append the record at @p rec to every agent's buffer via the
  * raw-pointer add path. Allocation-free on warm buffers; keeps the
- * per-agent rings advancing in lock-step like MultiAgentBuffer::add.
+ * per-agent rings advancing in lock-step like
+ * MultiAgentBuffer::append.
  */
 void drainRecordInto(MultiAgentBuffer &buffers,
                      const JointTransitionLayout &layout,

@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the zero-allocation steady-state contract: AllocGuard
- * accounting itself, the Workspace scratch pool, and the end-to-end
- * claim that a warm TrainLoop step performs no heap allocation under
- * every shipped sampler.
+ * accounting itself, and the end-to-end claim that a warm TrainLoop
+ * step performs no heap allocation under every shipped sampler, both
+ * replay backends and pool sizes 1, 2 and 4.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "marlin/marlin.hh"
@@ -67,26 +68,14 @@ TEST(AllocGuard, NestedScopesKeepCountingAfterInnerExits)
 
 TEST(AllocGuard, QuietScopeReportsZero)
 {
-    // Touch the thread-local workspace first so its lazy
-    // construction is not charged to the guard.
-    base::Workspace::threadLocal().scratch(base::wsGemmNTPack, 16);
+    // Reusing a buffer within its capacity never reaches the
+    // allocator, so the guard must report nothing.
+    std::vector<Real> scratch(16);
     base::AllocGuard guard;
-    base::Workspace::threadLocal().scratch(base::wsGemmNTPack, 16);
+    scratch.assign(8, Real(1));
+    scratch.resize(16);
     EXPECT_EQ(guard.allocations(), 0u);
     EXPECT_EQ(guard.bytes(), 0u);
-}
-
-TEST(Workspace, RetainsCapacityAcrossShrinkingRequests)
-{
-    base::Workspace ws;
-    std::vector<Real> &big = ws.scratch(0, 4096);
-    ASSERT_GE(big.size(), 4096u);
-    Real *data = big.data();
-
-    base::AllocGuard guard;
-    std::vector<Real> &again = ws.scratch(0, 1024);
-    EXPECT_EQ(again.data(), data);
-    EXPECT_EQ(guard.allocations(), 0u);
 }
 
 // --- end-to-end steady-state contract ------------------------------
@@ -113,72 +102,103 @@ steadyConfig()
     return c;
 }
 
+using TrainerFactory = std::function<std::unique_ptr<core::Trainer>(
+    const env::Environment &, const core::TrainConfig &)>;
+
 /**
- * Train long enough to pass warm-up plus one policy-delay cycle,
- * then assert that every steady-state step ran without touching the
- * heap. @p episodes must give at least a few dozen steady steps.
+ * Train one fresh run per pool size in {1, 2, 4}, long enough to pass
+ * warm-up plus one policy-delay cycle, and assert that every
+ * steady-state step ran without touching the heap. Pinning the pool
+ * sizes instead of inheriting the host's core count makes a scratch
+ * buffer that first grows on a pool worker after warm-up fail here
+ * on any machine.
  */
 void
+expectZeroAllocAtEveryPoolSize(const core::TrainConfig &config,
+                               std::uint64_t env_seed,
+                               const TrainerFactory &make_trainer)
+{
+    struct RestorePool
+    {
+        ~RestorePool() { base::ThreadPool::setGlobalThreads(0); }
+    } restore;
+    for (std::size_t threads : {1, 2, 4}) {
+        SCOPED_TRACE(::testing::Message() << "pool threads " << threads);
+        base::ThreadPool::setGlobalThreads(threads);
+        auto environment =
+            env::makeCooperativeNavigationEnv(3, env_seed);
+        auto trainer = make_trainer(*environment, config);
+        core::TrainLoop loop(*environment, *trainer, config);
+        const auto result = loop.run(30);
+
+        ASSERT_GT(result.updateCalls, config.policyDelay);
+        ASSERT_GT(result.steadyStateSteps, 50u);
+        EXPECT_EQ(result.steadyStateAllocs, 0u)
+            << result.steadyStateAllocs << " allocations ("
+            << result.steadyStateAllocBytes << " bytes) across "
+            << result.steadyStateSteps << " steady-state steps";
+    }
+}
+
+/** MADDPG under @p factory's sampler on the given replay backend. */
+void
 expectZeroAllocSteadyState(const core::SamplerFactory &factory,
-                           const char *label,
                            core::SamplingBackend backend =
                                core::SamplingBackend::PerAgent)
 {
-    auto environment = env::makeCooperativeNavigationEnv(3, 91);
     auto config = steadyConfig();
     config.backend = backend;
-    core::MaddpgTrainer trainer(dimsOf(*environment),
-                                environment->actionDim(), config,
-                                factory);
-    core::TrainLoop loop(*environment, trainer, config);
-    const auto result = loop.run(30);
+    expectZeroAllocAtEveryPoolSize(
+        config, 91,
+        [&factory](const env::Environment &environment,
+                   const core::TrainConfig &c) {
+            return std::make_unique<core::MaddpgTrainer>(
+                dimsOf(environment), environment.actionDim(), c,
+                factory);
+        });
+}
 
-    ASSERT_GT(result.updateCalls, config.policyDelay) << label;
-    ASSERT_GT(result.steadyStateSteps, 50u) << label;
-    EXPECT_EQ(result.steadyStateAllocs, 0u)
-        << label << ": " << result.steadyStateAllocs
-        << " allocations (" << result.steadyStateAllocBytes
-        << " bytes) across " << result.steadyStateSteps
-        << " steady-state steps";
+core::SamplerFactory
+uniformFactory()
+{
+    return [] { return std::make_unique<replay::UniformSampler>(); };
 }
 
 TEST(SteadyState, UniformSamplerStepIsAllocationFree)
 {
-    expectZeroAllocSteadyState(
-        [] { return std::make_unique<replay::UniformSampler>(); },
-        "uniform");
+    expectZeroAllocSteadyState(uniformFactory());
+}
+
+TEST(SteadyState, ShardedBackendStepIsAllocationFree)
+{
+    expectZeroAllocSteadyState(uniformFactory(),
+                               core::SamplingBackend::Sharded);
 }
 
 TEST(SteadyState, PrioritizedSamplerStepIsAllocationFree)
 {
-    expectZeroAllocSteadyState(
-        [] {
-            replay::PerConfig per;
-            per.capacity = 4096;
-            return std::make_unique<replay::PrioritizedSampler>(per);
-        },
-        "prioritized");
+    expectZeroAllocSteadyState([] {
+        replay::PerConfig per;
+        per.capacity = 4096;
+        return std::make_unique<replay::PrioritizedSampler>(per);
+    });
 }
 
 TEST(SteadyState, RankSamplerStepIsAllocationFree)
 {
-    expectZeroAllocSteadyState(
-        [] {
-            replay::PerConfig per;
-            per.capacity = 4096;
-            return std::make_unique<replay::RankBasedSampler>(per);
-        },
-        "rank");
+    expectZeroAllocSteadyState([] {
+        replay::PerConfig per;
+        per.capacity = 4096;
+        return std::make_unique<replay::RankBasedSampler>(per);
+    });
 }
 
 TEST(SteadyState, LocalitySamplerStepIsAllocationFree)
 {
-    expectZeroAllocSteadyState(
-        [] {
-            return std::make_unique<replay::LocalityAwareSampler>(
-                replay::LocalityConfig{8, 4});
-        },
-        "locality");
+    expectZeroAllocSteadyState([] {
+        return std::make_unique<replay::LocalityAwareSampler>(
+            replay::LocalityConfig{8, 4});
+    });
 }
 
 TEST(SteadyState, Matd3StepIsAllocationFree)
@@ -186,36 +206,28 @@ TEST(SteadyState, Matd3StepIsAllocationFree)
     // MATD3 exercises the twin-critic and delayed-actor paths; its
     // actor scratch only warms after update policyDelay, which the
     // steady-state predicate accounts for.
-    auto environment = env::makeCooperativeNavigationEnv(3, 92);
-    auto config = steadyConfig();
-    core::Matd3Trainer trainer(
-        dimsOf(*environment), environment->actionDim(), config,
-        [] { return std::make_unique<replay::UniformSampler>(); });
-    core::TrainLoop loop(*environment, trainer, config);
-    const auto result = loop.run(30);
-
-    ASSERT_GT(result.steadyStateSteps, 50u);
-    EXPECT_EQ(result.steadyStateAllocs, 0u)
-        << result.steadyStateAllocs << " allocations across "
-        << result.steadyStateSteps << " steady-state steps";
+    expectZeroAllocAtEveryPoolSize(
+        steadyConfig(), 92,
+        [](const env::Environment &environment,
+           const core::TrainConfig &c) {
+            return std::make_unique<core::Matd3Trainer>(
+                dimsOf(environment), environment.actionDim(), c,
+                uniformFactory());
+        });
 }
 
 TEST(SteadyState, ContinuousActionStepIsAllocationFree)
 {
-    auto environment = env::makeCooperativeNavigationEnv(3, 93);
     auto config = steadyConfig();
     config.actionMode = core::ActionMode::Continuous;
     // Continuous control: actors emit a 2D force, so actDim is 2.
-    core::MaddpgTrainer trainer(
-        dimsOf(*environment), 2, config,
-        [] { return std::make_unique<replay::UniformSampler>(); });
-    core::TrainLoop loop(*environment, trainer, config);
-    const auto result = loop.run(30);
-
-    ASSERT_GT(result.steadyStateSteps, 50u);
-    EXPECT_EQ(result.steadyStateAllocs, 0u)
-        << result.steadyStateAllocs << " allocations across "
-        << result.steadyStateSteps << " steady-state steps";
+    expectZeroAllocAtEveryPoolSize(
+        config, 93,
+        [](const env::Environment &environment,
+           const core::TrainConfig &c) {
+            return std::make_unique<core::MaddpgTrainer>(
+                dimsOf(environment), 2, c, uniformFactory());
+        });
 }
 
 } // namespace

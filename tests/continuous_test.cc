@@ -134,7 +134,7 @@ TEST(ContinuousTrainer, UpdateMovesActorParameters)
                       static_cast<Real>(rng.uniform(-1, 1))};
             rew[a] = static_cast<Real>(rng.uniform(-1, 1));
         }
-        buf.add(obs, act, rew, next, done);
+        buf.append(obs, act, rew, next, done);
     }
     const Real before =
         trainer.networks(0).actor.params()[0]->value(0, 0);

@@ -17,6 +17,7 @@
 #include "marlin/core/train_loop.hh"
 #include "marlin/env/environment.hh"
 #include "marlin/replay/prioritized_sampler.hh"
+#include "marlin/replay/sharded_store.hh"
 #include "marlin/replay/uniform_sampler.hh"
 
 namespace marlin::core
@@ -184,7 +185,7 @@ fillRandom(replay::MultiAgentBuffer &buf, int steps, Rng &rng)
             rew[a] = static_cast<Real>(rng.uniform(-1, 1));
             done[a] = false;
         }
-        buf.add(obs, act, rew, next, done);
+        buf.append(obs, act, rew, next, done);
     }
 }
 
@@ -284,24 +285,62 @@ TEST(Matd3Trainer, TwinCriticsDiverge)
               net.critic2->params()[0]->value(0, 0));
 }
 
+/** Gather every valid slot of @p store in logical order. */
+std::vector<replay::AgentBatch>
+gatherEverything(const replay::ReplayStore &store)
+{
+    replay::IndexPlan plan;
+    for (BufferIndex i = 0; i < store.size(); ++i)
+        plan.indices.push_back(i);
+    std::vector<replay::AgentBatch> out;
+    store.gatherAll(plan, out);
+    return out;
+}
+
 TEST(TrainLoop, InterleavedBackendMirrorsBuffer)
 {
-    auto environment = env::makeCooperativeNavigationEnv(3, 21);
-    std::vector<std::size_t> dims;
-    for (std::size_t i = 0; i < environment->numAgents(); ++i)
-        dims.push_back(environment->obsDim(i));
+    // The interleaved (Section IV-B2) layout is the sharded backend
+    // with its default knobs — one shard, no cold tier — and it must
+    // end a run holding exactly what the per-agent rings hold.
+    auto run_backend = [](SamplingBackend backend,
+                          std::vector<replay::AgentBatch> &contents) {
+        auto environment = env::makeCooperativeNavigationEnv(3, 21);
+        std::vector<std::size_t> dims;
+        for (std::size_t i = 0; i < environment->numAgents(); ++i)
+            dims.push_back(environment->obsDim(i));
+        auto config = tinyConfig();
+        config.backend = backend;
+        MaddpgTrainer trainer(dims, environment->actionDim(), config,
+                              uniformFactory());
+        TrainLoop loop(*environment, trainer, config);
+        const auto result = loop.run(10);
+        EXPECT_GT(result.updateCalls, 0u);
+        EXPECT_EQ(loop.replayStore().size(), result.envSteps);
+        contents = gatherEverything(loop.replayStore());
+        return std::string(loop.replayStore().backendName());
+    };
+    std::vector<replay::AgentBatch> per_agent, interleaved;
+    EXPECT_EQ(run_backend(SamplingBackend::PerAgent, per_agent),
+              "per_agent");
+    EXPECT_EQ(run_backend(SamplingBackend::Sharded, interleaved),
+              "sharded");
+    ASSERT_EQ(per_agent.size(), interleaved.size());
+    for (std::size_t a = 0; a < per_agent.size(); ++a) {
+        EXPECT_EQ(per_agent[a].obs, interleaved[a].obs);
+        EXPECT_EQ(per_agent[a].actions, interleaved[a].actions);
+        EXPECT_EQ(per_agent[a].rewards, interleaved[a].rewards);
+        EXPECT_EQ(per_agent[a].nextObs, interleaved[a].nextObs);
+        EXPECT_EQ(per_agent[a].dones, interleaved[a].dones);
+    }
 
-    auto config = tinyConfig();
-    config.backend = SamplingBackend::Interleaved;
-    MaddpgTrainer trainer(dims, environment->actionDim(), config,
-                          uniformFactory());
-    TrainLoop loop(*environment, trainer, config);
-    auto result = loop.run(10);
-
-    ASSERT_NE(loop.interleavedStore(), nullptr);
-    EXPECT_EQ(loop.interleavedStore()->size(), loop.buffer().size());
-    EXPECT_GT(result.timer.seconds(profile::Phase::LayoutReorg), 0.0);
-    EXPECT_GT(result.updateCalls, 0u);
+    TrainConfig config = tinyConfig();
+    config.backend = SamplingBackend::Sharded;
+    const auto store = makeReplayStore(config, {{4, 5}, {6, 5}});
+    const auto *sharded =
+        dynamic_cast<const replay::ShardedStore *>(store.get());
+    ASSERT_NE(sharded, nullptr);
+    EXPECT_EQ(sharded->shardCount(), 1u);
+    EXPECT_FALSE(sharded->coldEnabled());
 }
 
 TEST(TrainLoop, EnvStepsMatchEpisodeLength)
@@ -365,7 +404,9 @@ trainSerialized(std::size_t threads)
     TrainLoop loop(*environment, trainer, config);
     loop.run(4);
     std::ostringstream os;
-    saveTrainer(os, trainer);
+    RunState state;
+    state.trainer = &trainer;
+    saveRun(os, state);
     base::ThreadPool::setGlobalThreads(0); // Restore auto sizing.
     return os.str();
 }

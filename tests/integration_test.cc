@@ -138,8 +138,9 @@ TEST(Integration, InfoPrioritizedTrainsEndToEnd)
 TEST(Integration, InterleavedBackendMatchesPerAgentNumerics)
 {
     // With identical seeds and the same sampler index stream, the
-    // interleaved store must deliver identical batches, hence a
-    // bit-identical training trajectory.
+    // interleaved (record-major, one all-hot shard) store must
+    // deliver identical batches, hence a bit-identical training
+    // trajectory.
     auto run_backend = [](core::SamplingBackend backend) {
         auto environment = env::makeCooperativeNavigationEnv(3, 88);
         auto config = testConfig();
@@ -153,7 +154,7 @@ TEST(Integration, InterleavedBackendMatchesPerAgentNumerics)
     const auto per_agent =
         run_backend(core::SamplingBackend::PerAgent);
     const auto interleaved =
-        run_backend(core::SamplingBackend::Interleaved);
+        run_backend(core::SamplingBackend::Sharded);
     ASSERT_EQ(per_agent.size(), interleaved.size());
     for (std::size_t i = 0; i < per_agent.size(); ++i)
         EXPECT_EQ(per_agent[i], interleaved[i]) << "episode " << i;

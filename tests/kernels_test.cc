@@ -421,13 +421,14 @@ TEST(Kernels, GemmNTParityEdgeShapes)
         fillUniform(a, rng, -1, 1);
         fillUniform(b, rng, -1, 1);
         Matrix ref, vec;
+        std::vector<Real> pack;
         {
             kernels::ScopedIsa pin(Isa::Scalar);
-            gemmNT(a, b, ref);
+            gemmNT(a, b, ref, pack);
         }
         {
             kernels::ScopedIsa pin(Isa::Avx2);
-            gemmNT(a, b, vec);
+            gemmNT(a, b, vec, pack);
         }
         EXPECT_TRUE(bitEqual(ref, vec))
             << s.m << "x" << s.k << "x" << s.n;
@@ -459,7 +460,8 @@ TEST(Kernels, GemmSizeOneRowsAndEmpty)
             a2(0, j) = Real(1);
             b2(0, j) = Real(2);
         }
-        gemmNT(a2, b2, c2);
+        std::vector<Real> pack;
+        gemmNT(a2, b2, c2, pack);
         EXPECT_EQ(c2(0, 0), Real(18));
     }
 }
@@ -478,10 +480,11 @@ TEST(Kernels, Avx2GemmBitIdenticalAcrossThreadCounts)
 
     base::ThreadPool::setGlobalThreads(1);
     Matrix c1, c1nt, c1tn;
+    std::vector<Real> pack;
     gemm(a, b, c1);
     Matrix bt(70, 130);
     fillUniform(bt, rng, -1, 1);
-    gemmNT(a, bt, c1nt);
+    gemmNT(a, bt, c1nt, pack);
     Matrix at(130, 96);
     fillUniform(at, rng, -1, 1);
     gemmTN(at, b, c1tn);
@@ -489,7 +492,7 @@ TEST(Kernels, Avx2GemmBitIdenticalAcrossThreadCounts)
     base::ThreadPool::setGlobalThreads(3);
     Matrix c3, c3nt, c3tn;
     gemm(a, b, c3);
-    gemmNT(a, bt, c3nt);
+    gemmNT(a, bt, c3nt, pack);
     gemmTN(at, b, c3tn);
     base::ThreadPool::setGlobalThreads(0);
 

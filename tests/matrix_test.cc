@@ -148,7 +148,8 @@ TEST_P(GemmShapes, NTMatchesReference)
     Matrix a = randomMatrix(m, k, rng);
     Matrix bt = randomMatrix(n, k, rng); // B^T stored
     Matrix c;
-    gemmNT(a, bt, c);
+    std::vector<Real> pack;
+    gemmNT(a, bt, c, pack);
     expectNear(c, refGemm(a, bt.transposed()));
 }
 

@@ -468,7 +468,9 @@ trainAndCheckpoint(const std::string &ckpt_path,
     if (telemetry != nullptr)
         loop.setTelemetry(telemetry, 3);
     loop.run(6);
-    core::saveTrainerFile(ckpt_path, trainer);
+    core::RunState state;
+    state.trainer = &trainer;
+    EXPECT_TRUE(core::saveRunFile(ckpt_path, state));
     return readAll(ckpt_path);
 }
 

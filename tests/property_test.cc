@@ -19,9 +19,9 @@
 #include "marlin/nn/mlp.hh"
 #include "marlin/numeric/ops.hh"
 #include "marlin/replay/gather.hh"
-#include "marlin/replay/interleaved_store.hh"
 #include "marlin/replay/locality_sampler.hh"
 #include "marlin/replay/prioritized_sampler.hh"
+#include "marlin/replay/sharded_store.hh"
 #include "marlin/replay/uniform_sampler.hh"
 
 namespace marlin
@@ -200,9 +200,10 @@ TEST_P(ShapeSeeds, InterleavedAlwaysMatchesPerAgent)
     for (std::size_t a = 0; a < agents; ++a)
         shapes.push_back({1 + meta.randint(40), 1 + meta.randint(8)});
 
+    // The interleaved (record-major) layout: one all-hot shard.
     const BufferIndex capacity = 64;
     replay::MultiAgentBuffer soa(shapes, capacity);
-    replay::InterleavedReplayStore store(shapes, capacity);
+    replay::ShardedStore store(shapes, capacity, {});
 
     std::vector<std::vector<Real>> obs(agents), act(agents),
         next(agents);
@@ -221,7 +222,7 @@ TEST_P(ShapeSeeds, InterleavedAlwaysMatchesPerAgent)
             rew[a] = meta.uniformf();
             done[a] = meta.uniform() < 0.2;
         }
-        soa.add(obs, act, rew, next, done);
+        soa.append(obs, act, rew, next, done);
         store.append(obs, act, rew, next, done);
     }
 
@@ -230,7 +231,7 @@ TEST_P(ShapeSeeds, InterleavedAlwaysMatchesPerAgent)
     auto plan = sampler.plan(soa.size(), 32, rng);
     std::vector<replay::AgentBatch> a_batches, b_batches;
     replay::gatherAllAgents(soa, plan, a_batches);
-    store.gatherAllAgents(plan, b_batches);
+    store.gatherAll(plan, b_batches);
     for (std::size_t a = 0; a < agents; ++a) {
         EXPECT_EQ(a_batches[a].obs, b_batches[a].obs);
         EXPECT_EQ(a_batches[a].actions, b_batches[a].actions);

@@ -1,15 +1,18 @@
 /**
  * @file
- * Tests for the AoS replay layout and the rank-based prioritized
- * sampler (the proportional-PER ablation counterparts).
+ * Tests for the AoS record layout and the rank-based prioritized
+ * sampler (the proportional-PER ablation counterparts). The AoS
+ * layout — one contiguous [obs | act | reward | nextObs | done]
+ * record per timestep — is a one-agent record-major ShardedStore.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "marlin/replay/aos_buffer.hh"
+#include "marlin/replay/gather.hh"
 #include "marlin/replay/rank_sampler.hh"
+#include "marlin/replay/sharded_store.hh"
 #include "marlin/replay/uniform_sampler.hh"
 
 namespace marlin::replay
@@ -18,46 +21,61 @@ namespace
 {
 
 void
-addMarked(AosReplayBuffer &buf, int t)
+addMarked(ReplayStore &buf, int t)
 {
-    const auto &shape = buf.shape();
-    std::vector<Real> obs(shape.obsDim, static_cast<Real>(t));
+    const TransitionShape &shape = buf.agentShape(0);
     std::vector<Real> act(shape.actDim, Real(0));
     act[static_cast<std::size_t>(t) % shape.actDim] = Real(1);
-    std::vector<Real> next(shape.obsDim, static_cast<Real>(t) + 0.5f);
-    buf.add(obs.data(), act.data(), static_cast<Real>(t), next.data(),
-            t % 5 == 0);
+    buf.append({std::vector<Real>(shape.obsDim, static_cast<Real>(t))},
+               {act}, {static_cast<Real>(t)},
+               {std::vector<Real>(shape.obsDim,
+                                  static_cast<Real>(t) + 0.5f)},
+               {t % 5 == 0});
+}
+
+/** Gather slots @p indices of a one-agent store. */
+AgentBatch
+gatherRows(const ReplayStore &buf, std::vector<BufferIndex> indices,
+           AccessTrace *trace = nullptr)
+{
+    IndexPlan plan;
+    plan.indices = std::move(indices);
+    AgentBatch out;
+    buf.gatherAgent(0, plan, out, trace);
+    return out;
 }
 
 TEST(AosBuffer, RecordSizeAndStorage)
 {
-    AosReplayBuffer buf({4, 5}, 8);
-    EXPECT_EQ(buf.recordSize(), 2 * 4 + 5 + 2);
-    EXPECT_EQ(buf.storageBytes(), buf.recordSize() * 8 * sizeof(Real));
+    ShardedStore buf({{4, 5}}, 8, {});
+    EXPECT_EQ(buf.layout().stride, 2u * 4 + 5 + 2);
+    EXPECT_EQ(buf.storageBytes(),
+              buf.layout().stride * 8 * sizeof(Real));
 }
 
 TEST(AosBuffer, ViewRoundTrip)
 {
-    AosReplayBuffer buf({3, 5}, 8);
+    ShardedStore buf({{3, 5}}, 8, {});
     addMarked(buf, 7);
-    auto v = buf.view(0);
-    EXPECT_EQ(v.obs[0], Real(7));
-    EXPECT_EQ(v.obs[2], Real(7));
-    EXPECT_EQ(v.action[2], Real(1)); // 7 % 5 == 2.
-    EXPECT_EQ(v.reward, Real(7));
-    EXPECT_EQ(v.nextObs[1], Real(7.5));
-    EXPECT_EQ(v.done, Real(0));
+    const AgentBatch v = gatherRows(buf, {0});
+    EXPECT_EQ(v.obs(0, 0), Real(7));
+    EXPECT_EQ(v.obs(0, 2), Real(7));
+    EXPECT_EQ(v.actions(0, 2), Real(1)); // 7 % 5 == 2.
+    EXPECT_EQ(v.rewards(0, 0), Real(7));
+    EXPECT_EQ(v.nextObs(0, 1), Real(7.5));
+    EXPECT_EQ(v.dones(0, 0), Real(0));
 }
 
 TEST(AosBuffer, RingWraparound)
 {
-    AosReplayBuffer buf({2, 5}, 4);
+    ShardedStore buf({{2, 5}}, 4, {});
     for (int t = 0; t < 6; ++t)
         addMarked(buf, t);
     EXPECT_EQ(buf.size(), 4u);
-    EXPECT_EQ(buf.view(0).reward, Real(4));
-    EXPECT_EQ(buf.view(1).reward, Real(5));
-    EXPECT_EQ(buf.view(2).reward, Real(2));
+    const AgentBatch v = gatherRows(buf, {0, 1, 2});
+    EXPECT_EQ(v.rewards(0, 0), Real(4));
+    EXPECT_EQ(v.rewards(1, 0), Real(5));
+    EXPECT_EQ(v.rewards(2, 0), Real(2));
 }
 
 TEST(AosBuffer, GatherMatchesSoaGather)
@@ -65,22 +83,15 @@ TEST(AosBuffer, GatherMatchesSoaGather)
     // AoS and SoA layouts must produce identical batches for the
     // same content and plan — the ablation only changes memory
     // behaviour, never semantics.
-    TransitionShape shape{3, 5};
-    AosReplayBuffer aos(shape, 64);
-    ReplayBuffer soa(shape, 64);
+    ShardedStore aos({{3, 5}}, 64, {});
+    MultiAgentBuffer soa({{3, 5}}, 64);
     for (int t = 0; t < 40; ++t) {
         addMarked(aos, t);
-        std::vector<Real> obs(3, static_cast<Real>(t));
-        std::vector<Real> act(5, Real(0));
-        act[t % 5] = Real(1);
-        std::vector<Real> next(3, static_cast<Real>(t) + 0.5f);
-        soa.add(obs, act, static_cast<Real>(t), next, t % 5 == 0);
+        addMarked(soa, t);
     }
-    IndexPlan plan;
-    plan.indices = {0, 13, 39, 5, 5};
-    AgentBatch from_aos, from_soa;
-    aos.gather(plan, from_aos);
-    gatherAgentBatch(soa, plan, from_soa);
+    const std::vector<BufferIndex> rows = {0, 13, 39, 5, 5};
+    const AgentBatch from_aos = gatherRows(aos, rows);
+    const AgentBatch from_soa = gatherRows(soa, rows);
     EXPECT_EQ(from_aos.obs, from_soa.obs);
     EXPECT_EQ(from_aos.actions, from_soa.actions);
     EXPECT_EQ(from_aos.rewards, from_soa.rewards);
@@ -90,17 +101,14 @@ TEST(AosBuffer, GatherMatchesSoaGather)
 
 TEST(AosBuffer, GatherTraceIsOneRecordPerRow)
 {
-    AosReplayBuffer buf({3, 5}, 16);
+    ShardedStore buf({{3, 5}}, 16, {});
     for (int t = 0; t < 8; ++t)
         addMarked(buf, t);
-    IndexPlan plan;
-    plan.indices = {1, 2, 3};
-    AgentBatch out;
     AccessTrace trace;
-    buf.gather(plan, out, &trace);
+    gatherRows(buf, {1, 2, 3}, &trace);
     EXPECT_EQ(trace.size(), 3u);
     EXPECT_EQ(trace.entries()[0].bytes,
-              buf.recordSize() * sizeof(Real));
+              buf.layout().stride * sizeof(Real));
 }
 
 TEST(RankSampler, SamplesHighTdSlotsMoreOften)

@@ -92,7 +92,7 @@ TEST(MultiAgentBuffer, SynchronizedAdds)
     std::vector<Real> rew = {1, 2};
     std::vector<std::vector<Real>> next = {{3, 3, 3}, {4, 4, 4, 4}};
     std::vector<bool> done = {false, true};
-    buf.add(obs, act, rew, next, done);
+    buf.append(obs, act, rew, next, done);
     EXPECT_EQ(buf.size(), 1u);
     EXPECT_EQ(buf.agent(0).view(0).reward, Real(1));
     EXPECT_EQ(buf.agent(1).view(0).reward, Real(2));
@@ -143,7 +143,7 @@ TEST(Gather, AllAgents)
         std::vector<Real> rew = {Real(t), Real(t * 2), Real(t * 3)};
         std::vector<std::vector<Real>> next = obs;
         std::vector<bool> done(3, false);
-        buf.add(obs, act, rew, next, done);
+        buf.append(obs, act, rew, next, done);
     }
     IndexPlan plan;
     plan.indices = {7, 3};

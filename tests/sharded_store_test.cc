@@ -5,8 +5,11 @@
  * power-of-two shard count), the spill/fault round trip through the
  * mmap cold tier (including a forced page-cache drop so reads truly
  * come back from disk), the zero-allocation all-hot gather steady
- * state, cold-segment header CRC detection, and typed geometry
- * errors from ShardedStore/MultiAgentBuffer state restores.
+ * state, cold-segment header CRC detection, typed geometry errors
+ * and all-or-nothing ShardedStore/MultiAgentBuffer state restores,
+ * and the one-shard, all-hot configuration as the interleaved
+ * (Section IV-B2) layout: SoA-equivalent gathers, one record read
+ * per index.
  */
 
 #include <gtest/gtest.h>
@@ -457,6 +460,147 @@ TEST(ShardedStore, TruncatedStateIsATypedError)
     EXPECT_EQ(b.size(), size_before)
         << "failed load must not mutate";
     expectBatchesEqual(gatherEverything(b), before);
+}
+
+/**
+ * A stream whose second agent's shape differs from the target's must
+ * fail as a ShapeMismatch without touching agent 0: every agent is
+ * staged before any ring is overwritten, so the rings stay in sync.
+ */
+TEST(MultiAgentBuffer, LaterAgentMismatchLeavesEarlierAgentsIntact)
+{
+    MultiAgentBuffer a({{3, 2}, {4, 2}}, 64);
+    for (int t = 0; t < 20; ++t)
+        appendMarked(a, t);
+    std::ostringstream os;
+    a.saveState(os);
+
+    MultiAgentBuffer b({{3, 2}, {5, 2}}, 64);
+    for (int t = 100; t < 107; ++t)
+        appendMarked(b, t);
+    const std::vector<AgentBatch> before = gatherEverything(b);
+
+    std::istringstream is(os.str());
+    const StoreLoadResult r = b.loadState(is);
+    ASSERT_FALSE(r);
+    EXPECT_EQ(r.error, StoreLoadError::ShapeMismatch);
+    EXPECT_EQ(b.size(), 7u) << "failed load must not mutate";
+    expectBatchesEqual(gatherEverything(b), before);
+}
+
+TEST(MultiAgentBuffer, TruncatedStateIsATypedError)
+{
+    MultiAgentBuffer a(testShapes(), 64);
+    for (int t = 0; t < 20; ++t)
+        appendMarked(a, t);
+    std::ostringstream os;
+    a.saveState(os);
+    const std::string full = os.str();
+
+    MultiAgentBuffer b(testShapes(), 64);
+    for (int t = 100; t < 112; ++t)
+        appendMarked(b, t);
+    const std::vector<AgentBatch> before = gatherEverything(b);
+
+    // Cut inside the second agent's data regions.
+    std::istringstream is(full.substr(0, full.size() - 8));
+    const StoreLoadResult r = b.loadState(is);
+    ASSERT_FALSE(r);
+    EXPECT_EQ(r.error, StoreLoadError::Truncated);
+    EXPECT_EQ(b.size(), 12u) << "failed load must not mutate";
+    expectBatchesEqual(gatherEverything(b), before);
+}
+
+// --- the interleaved layout: one all-hot shard ---------------------
+
+/** Three agents with distinct obs dims and a 5-way action. */
+std::vector<TransitionShape>
+threeAgentShapes()
+{
+    return {{3, 5}, {4, 5}, {6, 5}};
+}
+
+TEST(InterleavedStore, RecordSizeIsSumOfFlatSizes)
+{
+    ShardedStore store(threeAgentShapes(), 16, {});
+    // (2*3+5+2) + (2*4+5+2) + (2*6+5+2) = 13+15+19 = 47.
+    EXPECT_EQ(store.layout().stride, 47u);
+    EXPECT_EQ(store.storageBytes(), 47u * 16 * sizeof(Real));
+}
+
+TEST(InterleavedStore, AppendMatchesBaselineGather)
+{
+    MultiAgentBuffer buf(threeAgentShapes(), 128);
+    ShardedStore store(threeAgentShapes(), 128, {});
+    for (int t = 0; t < 100; ++t) {
+        appendMarked(buf, t);
+        appendMarked(store, t);
+    }
+
+    IndexPlan plan;
+    plan.indices = {0, 50, 99, 42};
+    std::vector<AgentBatch> baseline, interleaved;
+    gatherAllAgents(buf, plan, baseline);
+    store.gatherAll(plan, interleaved);
+    expectBatchesEqual(baseline, interleaved);
+}
+
+TEST(InterleavedStore, RingWraparound)
+{
+    ShardedStore store({{2, 5}}, 4, {});
+    for (int t = 0; t < 6; ++t)
+        appendMarked(store, t);
+    EXPECT_EQ(store.size(), 4u);
+    IndexPlan plan;
+    plan.indices = {0, 1, 2, 3};
+    std::vector<AgentBatch> out;
+    store.gatherAll(plan, out);
+    // Slots 0,1 overwritten by t=4,5 (appendMarked's reward is 2t).
+    EXPECT_EQ(out[0].rewards(0, 0), Real(8));
+    EXPECT_EQ(out[0].rewards(1, 0), Real(10));
+    EXPECT_EQ(out[0].rewards(2, 0), Real(4));
+    EXPECT_EQ(out[0].rewards(3, 0), Real(6));
+}
+
+TEST(InterleavedStore, GatherTraceIsOneRecordPerIndex)
+{
+    MultiAgentBuffer buf(threeAgentShapes(), 64);
+    ShardedStore store(threeAgentShapes(), 64, {});
+    for (int t = 0; t < 32; ++t) {
+        appendMarked(buf, t);
+        appendMarked(store, t);
+    }
+
+    IndexPlan plan;
+    plan.indices = {1, 2, 3, 4, 5};
+    std::vector<AgentBatch> out;
+    AccessTrace trace;
+    store.gatherAll(plan, out, &trace);
+    // One contiguous record read per index — the O(m) property.
+    EXPECT_EQ(trace.size(), 5u);
+    EXPECT_EQ(trace.entries()[0].bytes,
+              store.layout().stride * sizeof(Real));
+
+    // Baseline gather touches 3 reads per index per agent: O(N*m).
+    AccessTrace baseline_trace;
+    std::vector<AgentBatch> baseline;
+    gatherAllAgents(buf, plan, baseline, &baseline_trace);
+    EXPECT_EQ(baseline_trace.size(), 5u * 3u * buf.numAgents());
+}
+
+TEST(InterleavedStore, RecordsAreContiguousInMemory)
+{
+    ShardedStore store(threeAgentShapes(), 8, {});
+    for (int t = 0; t < 2; ++t)
+        appendMarked(store, t);
+    IndexPlan plan;
+    plan.indices = {0, 1};
+    std::vector<AgentBatch> out;
+    AccessTrace trace;
+    store.gatherAll(plan, out, &trace);
+    ASSERT_EQ(trace.size(), 2u);
+    EXPECT_EQ(trace.entries()[1].addr - trace.entries()[0].addr,
+              store.layout().stride * sizeof(Real));
 }
 
 // --- AccMER stratification coverage --------------------------------
