@@ -184,8 +184,31 @@ ActorRunner::stepLane(Lane &lane)
 }
 
 void
+ActorRunner::awaitStart()
+{
+    if (control.startPending.load(std::memory_order_acquire) == 0)
+        return;
+    for (Lane &lane : lanes)
+        claimEpisode(lane);
+    control.startPending.fetch_sub(1, std::memory_order_acq_rel);
+    while (control.startPending.load(std::memory_order_acquire) > 0 &&
+           !control.stop.load(std::memory_order_acquire) &&
+           !abortFlag.load(std::memory_order_acquire))
+    {
+        if (heartbeat != nullptr)
+            heartbeat->beat();
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+}
+
+void
 ActorRunner::run()
 {
+    if (!started)
+    {
+        started = true;
+        awaitStart();
+    }
     while (!control.stop.load(std::memory_order_acquire) &&
            !abortFlag.load(std::memory_order_acquire))
     {

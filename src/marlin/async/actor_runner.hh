@@ -129,6 +129,12 @@ class ActorRunner
     /** Claim the next episode for @p lane; false when none remain. */
     bool claimEpisode(Lane &lane);
 
+    /**
+     * At an armed start barrier (RunControl::startPending), claim
+     * every lane's first episode, then wait until every actor has.
+     */
+    void awaitStart();
+
     /** One env step on @p lane; retires the episode at the limit. */
     void stepLane(Lane &lane);
 
@@ -144,6 +150,8 @@ class ActorRunner
     base::FaultInjector *injector = nullptr;
     std::atomic<bool> abortFlag{false};
     std::atomic<bool> retiredFlag{false};
+    /** Set by the first run(); a restarted thread skips the barrier. */
+    bool started = false;
 
     std::vector<Lane> lanes;
     std::uint64_t seenVersion = 0;

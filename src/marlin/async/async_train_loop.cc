@@ -57,6 +57,9 @@ AsyncTrainLoop::run(std::size_t episodes)
     control.episodeTarget = episodes;
     control.activeActors.store(async.actors,
                                std::memory_order_relaxed);
+    if (injector != nullptr)
+        control.startPending.store(async.actors,
+                                   std::memory_order_relaxed);
     obs::Registry::instance().gauge("async.actors").set(
         static_cast<double>(async.actors));
 

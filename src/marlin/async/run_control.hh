@@ -38,6 +38,15 @@ struct RunControl
     std::atomic<std::uint64_t> completedCount{0};
     std::atomic<std::size_t> activeActors{0};
     std::atomic<bool> stop{false};
+    /**
+     * Start barrier: actors that have not yet claimed their first
+     * episodes. Armed (set to the actor count) only while a
+     * FaultInjector is attached, and no actor steps before it
+     * drains, so a fault scheduled at an actor's local step fires
+     * whatever the OS scheduler does. Unarmed, one actor could claim
+     * every episode before a peer is first scheduled.
+     */
+    std::atomic<std::size_t> startPending{0};
 
     /** Completed episodes as (global episode index, mean reward). */
     std::mutex rewardMutex;

@@ -305,7 +305,7 @@ CtdeTrainerBase::targetNextActionsInto(
 }
 
 void
-CtdeTrainerBase::buildJointCurrentInto(
+CtdeTrainerBase::jointCurrentInto(
     const std::vector<AgentBatch> &batches,
     std::vector<const Matrix *> &scratch, Matrix &out) const
 {
@@ -318,7 +318,7 @@ CtdeTrainerBase::buildJointCurrentInto(
 }
 
 void
-CtdeTrainerBase::buildJointNextInto(
+CtdeTrainerBase::jointNextInto(
     const std::vector<AgentBatch> &batches,
     const std::vector<Matrix> &next_actions,
     std::vector<const Matrix *> &scratch, Matrix &out) const
@@ -357,7 +357,7 @@ CtdeTrainerBase::criticActorStep(std::size_t i,
 {
     AgentNetworks &net = *nets[i];
     const replay::IndexPlan &plan = ws.plan;
-    buildJointCurrentInto(batches, ws.concat, ws.joint);
+    jointCurrentInto(batches, ws.concat, ws.joint);
     const Matrix &joint = ws.joint;
     const Matrix &y = ws.y;
     const HealthGuardPolicy policy = _config.healthPolicy;
@@ -447,19 +447,11 @@ CtdeTrainerBase::criticActorStep(std::size_t i,
 
     net.critic.forward(joint_pi, ws.qPi);
     const Real actor_loss = nn::policyLoss(ws.qPi, ws.dqPi);
-    net.critic.backward(ws.dqPi, &ws.dJoint);
-    // The critic is frozen during the actor step: discard the
-    // gradients this pass accumulated into it.
-    net.critic.zeroGrad();
-
-    ws.dSoft.reshape(ws.qPi.rows(), actDim);
+    // The critic is frozen during the actor step: backprop computes
+    // no critic gradient, and of the critic's input gradient only
+    // agent i's action block.
+    net.critic.backwardInput(ws.dqPi, col, col + actDim, ws.dSoft);
     Matrix &d_soft = ws.dSoft;
-    for (std::size_t r = 0; r < ws.dJoint.rows(); ++r) {
-        const Real *src = ws.dJoint.row(r) + col;
-        Real *dst = d_soft.row(r);
-        for (std::size_t c = 0; c < actDim; ++c)
-            dst[c] = src[c];
-    }
 
     Matrix &d_logits = ws.dLogits;
     if (discrete) {
@@ -576,8 +568,8 @@ MaddpgTrainer::updateAgent(std::size_t i,
 {
     {
         ScopedPhase sp(timer, Phase::TargetQ);
-        buildJointNextInto(batches, ws.nextActions, ws.concat,
-                           ws.jointNext);
+        jointNextInto(batches, ws.nextActions, ws.concat,
+                      ws.jointNext);
         nets[i]->targetCritic.forward(ws.jointNext, ws.qNext);
         tdTargetInto(batches[i], ws.qNext, ws.y);
     }

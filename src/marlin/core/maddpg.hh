@@ -123,8 +123,7 @@ class CtdeTrainerBase : public Trainer
         Matrix jointPi;   ///< Joint with agent i's policy action.
         Matrix qPi;       ///< Critic output on jointPi.
         Matrix dqPi;      ///< Policy-loss gradient dL/dQ.
-        Matrix dJoint;    ///< Critic input gradient.
-        Matrix dSoft;     ///< dJoint slice at agent i's action block.
+        Matrix dSoft;     ///< Critic input gradient at agent i's actions.
         Matrix dLogits;   ///< Gradient through the relaxation.
         std::vector<Real> td; ///< |TD error| per batch row.
         /** Per-agent accumulators for the concurrent update path. */
@@ -164,15 +163,15 @@ class CtdeTrainerBase : public Trainer
                           Rng &noise_rng, std::vector<Matrix> &out);
 
     /** [obs_0..obs_{N-1} | act_0..act_{N-1}] from stored samples. */
-    void buildJointCurrentInto(const std::vector<AgentBatch> &batches,
-                               std::vector<const Matrix *> &scratch,
-                               Matrix &out) const;
+    void jointCurrentInto(const std::vector<AgentBatch> &batches,
+                          std::vector<const Matrix *> &scratch,
+                          Matrix &out) const;
 
     /** Same layout from next observations and given next actions. */
-    void buildJointNextInto(const std::vector<AgentBatch> &batches,
-                            const std::vector<Matrix> &next_actions,
-                            std::vector<const Matrix *> &scratch,
-                            Matrix &out) const;
+    void jointNextInto(const std::vector<AgentBatch> &batches,
+                       const std::vector<Matrix> &next_actions,
+                       std::vector<const Matrix *> &scratch,
+                       Matrix &out) const;
 
     /** TD target y = r + gamma * (1 - done) * q_next. */
     void tdTargetInto(const AgentBatch &batch, const Matrix &q_next,

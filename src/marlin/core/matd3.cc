@@ -62,8 +62,8 @@ Matd3Trainer::updateAgent(std::size_t i,
     AgentNetworks &net = *nets[i];
     {
         ScopedPhase sp(timer, Phase::TargetQ);
-        buildJointNextInto(batches, ws.nextActions, ws.concat,
-                           ws.jointNext);
+        jointNextInto(batches, ws.nextActions, ws.concat,
+                      ws.jointNext);
         // Clipped double-Q: the minimum of the twin target critics
         // counters over-estimation bias.
         net.targetCritic.forward(ws.jointNext, ws.qNext);

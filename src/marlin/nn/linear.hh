@@ -40,8 +40,10 @@ struct Param
 /**
  * y = x W + b, with W of shape (in, out) and b of shape (1, out).
  *
- * forward() caches the input so that a subsequent backward() can
- * compute the weight gradient; exactly one backward per forward.
+ * forward() caches the input so that a subsequent backwardParams()
+ * can compute the weight gradient. The backward pass is split in
+ * two, so a caller that discards dL/dW and dL/db, or dL/dx, never
+ * computes them.
  */
 class Linear
 {
@@ -61,10 +63,22 @@ class Linear
     void forward(const Matrix &x, Matrix &y);
 
     /**
-     * Given dL/dy, accumulate dL/dW and dL/db, and produce dL/dx.
+     * Given dL/dy, accumulate dL/dW into weight.grad and dL/db into
+     * bias.grad.
      * @pre forward() was called with the matching batch.
      */
-    void backward(const Matrix &grad_y, Matrix &grad_x);
+    void backwardParams(const Matrix &grad_y);
+
+    /** Given dL/dy, produce dL/dx = dL/dy W^T. */
+    void backwardInput(const Matrix &grad_y, Matrix &grad_x);
+
+    /**
+     * dL/dx restricted to input columns [col_begin, col_end): bit for
+     * bit those columns of the full dL/dx, from a product against
+     * only the matching rows of W.
+     */
+    void backwardInput(const Matrix &grad_y, Matrix &grad_x,
+                       std::size_t col_begin, std::size_t col_end);
 
     /** Stable pointers to the layer's parameters. */
     std::vector<Param *> params();
@@ -79,7 +93,10 @@ class Linear
     // backprop performs no heap allocations.
     Matrix dwScratch;
     Matrix dbScratch;
-    // gemmNT's packed W^T for dL/dx, sized by the first backward().
+    // Rows [col_begin, col_end) of W for a column-range dL/dx, sized
+    // by the first such call.
+    Matrix weightRows;
+    // gemmNT's packed W^T for dL/dx, sized by the first backward.
     // Owned by the layer rather than the calling thread, so an agent
     // update reaching a pool worker for the first time after warm-up
     // finds it already sized.

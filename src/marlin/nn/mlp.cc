@@ -53,11 +53,28 @@ Mlp::backward(const Matrix &grad_y, Matrix *grad_x)
     const Matrix *grad = &grad_y;
     for (std::size_t i = layers.size(); i-- > 0;) {
         acts[i].backward(*grad, dpre[i]);
-        layers[i].backward(dpre[i], dinput[i]);
+        layers[i].backwardParams(dpre[i]);
+        if (i > 0)
+            layers[i].backwardInput(dpre[i], dinput[i]);
+        else if (grad_x)
+            layers[i].backwardInput(dpre[i], *grad_x);
         grad = &dinput[i];
     }
-    if (grad_x)
-        *grad_x = *grad;
+}
+
+void
+Mlp::backwardInput(const Matrix &grad_y, std::size_t col_begin,
+                   std::size_t col_end, Matrix &grad_x)
+{
+    MARLIN_ASSERT(!layers.empty(), "backward on empty Mlp");
+    const Matrix *grad = &grad_y;
+    for (std::size_t i = layers.size(); i-- > 1;) {
+        acts[i].backward(*grad, dpre[i]);
+        layers[i].backwardInput(dpre[i], dinput[i]);
+        grad = &dinput[i];
+    }
+    acts[0].backward(*grad, dpre[0]);
+    layers[0].backwardInput(dpre[0], grad_x, col_begin, col_end);
 }
 
 std::vector<Param *>

@@ -49,9 +49,20 @@ class Mlp
 
     /**
      * Backpropagate dL/dy, accumulating parameter gradients;
-     * optionally produce dL/dx (needed to chain critic -> actor).
+     * optionally produce dL/dx. Without @p grad_x the first layer's
+     * input gradient is never computed.
      */
     void backward(const Matrix &grad_y, Matrix *grad_x = nullptr);
+
+    /**
+     * Input gradient only, for chaining through a frozen network:
+     * dL/dx restricted to input columns [col_begin, col_end), bit for
+     * bit those columns of backward()'s dL/dx. Parameter gradients
+     * are left untouched. @pre forward() was called with the
+     * matching batch.
+     */
+    void backwardInput(const Matrix &grad_y, std::size_t col_begin,
+                       std::size_t col_end, Matrix &grad_x);
 
     /** All trainable parameters, in layer order. */
     std::vector<Param *> params();

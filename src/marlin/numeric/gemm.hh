@@ -1,13 +1,15 @@
 /**
  * @file
- * Cache-blocked general matrix multiply kernels.
+ * General matrix multiply on the register-tiled GEMM panel.
  *
- * These four variants cover every product the NN substrate needs
+ * These three variants cover every product the NN substrate needs
  * without materializing transposes:
  *   gemm      : C  = A   * B      (forward pass)
  *   gemmTN    : C  = A^T * B      (weight gradients)
  *   gemmNT    : C  = A   * B^T    (input gradients)
- *   gemmAcc   : C += A   * B      (accumulating forward)
+ * Each overwrites C and runs through KernelTable::gemmPanel, so every
+ * C element is one ascending-k chain from +0: bit-identical for any
+ * ISA and any thread count.
  */
 
 #ifndef MARLIN_NUMERIC_GEMM_HH
@@ -22,9 +24,6 @@ namespace marlin::numeric
 
 /** C = A * B. Shapes: A(m,k), B(k,n) -> C(m,n). */
 void gemm(const Matrix &a, const Matrix &b, Matrix &c);
-
-/** C += A * B. */
-void gemmAcc(const Matrix &a, const Matrix &b, Matrix &c);
 
 /** C = A^T * B. Shapes: A(k,m), B(k,n) -> C(m,n). */
 void gemmTN(const Matrix &a, const Matrix &b, Matrix &c);

@@ -109,18 +109,31 @@ copyScalar(const Real *s, Real *d, std::size_t n)
     std::memcpy(d, s, n * sizeof(Real));
 }
 
+/**
+ * The reference per-element chain: each c row starts at +0 and takes
+ * one coefficient at a time in ascending t order. Whether a zero
+ * coefficient is skipped or added cannot change a bit when b is
+ * finite (see KernelTable::gemmPanel), so this twin honours
+ * skip_zeros exactly as asked rather than second-guessing it.
+ */
 void
-gemmBlockScalar(const Real *a, std::size_t astride, const Real *b,
-                std::size_t ldb, std::size_t kb, Real *c,
-                std::size_t n, bool skip_zeros)
+gemmPanelScalar(const Real *a, std::size_t a_row, std::size_t a_k,
+                const Real *b, std::size_t ldb, std::size_t k, Real *c,
+                std::size_t ldc, std::size_t m, std::size_t n,
+                bool skip_zeros)
 {
-    for (std::size_t t = 0; t < kb; ++t) {
-        const Real coef = a[t * astride];
-        if (skip_zeros && coef == Real(0))
-            continue;
-        const Real *brow = b + t * ldb;
+    for (std::size_t i = 0; i < m; ++i) {
+        Real *crow = c + i * ldc;
         for (std::size_t j = 0; j < n; ++j)
-            c[j] += coef * brow[j];
+            crow[j] = Real(0);
+        for (std::size_t t = 0; t < k; ++t) {
+            const Real coef = a[i * a_row + t * a_k];
+            if (skip_zeros && coef == Real(0))
+                continue;
+            const Real *brow = b + t * ldb;
+            for (std::size_t j = 0; j < n; ++j)
+                crow[j] += coef * brow[j];
+        }
     }
 }
 
@@ -128,7 +141,7 @@ constexpr KernelTable scalarTable = {
     Isa::Scalar,     axpyScalar,       addScalar,
     subScalar,       scaleScalar,      clampScalar,
     reluForwardScalar, reluBackwardScalar, adamStepScalar,
-    softUpdateScalar, copyScalar,      gemmBlockScalar,
+    softUpdateScalar, copyScalar,      gemmPanelScalar,
 };
 
 } // namespace
@@ -263,12 +276,14 @@ copyCounting(const Real *s, Real *d, std::size_t n)
 }
 
 void
-gemmBlockCounting(const Real *a, std::size_t astride, const Real *b,
-                  std::size_t ldb, std::size_t kb, Real *c,
+gemmPanelCounting(const Real *a, std::size_t a_row, std::size_t a_k,
+                  const Real *b, std::size_t ldb, std::size_t k,
+                  Real *c, std::size_t ldc, std::size_t m,
                   std::size_t n, bool skip_zeros)
 {
-    MARLIN_KERNEL_COUNT("gemm_block", kb * n);
-    real().gemmBlock(a, astride, b, ldb, kb, c, n, skip_zeros);
+    MARLIN_KERNEL_COUNT("gemm_panel", m * k * n);
+    real().gemmPanel(a, a_row, a_k, b, ldb, k, c, ldc, m, n,
+                     skip_zeros);
 }
 
 #undef MARLIN_KERNEL_COUNT
@@ -278,7 +293,7 @@ KernelTable countingTable = {
     Isa::Scalar,        axpyCounting,        addCounting,
     subCounting,        scaleCounting,       clampCounting,
     reluForwardCounting, reluBackwardCounting, adamStepCounting,
-    softUpdateCounting, copyCounting,        gemmBlockCounting,
+    softUpdateCounting, copyCounting,        gemmPanelCounting,
 };
 
 /** 0 = scalar, 1 = avx2; lets telemetry record the dispatch. */

@@ -3,7 +3,7 @@
  * ISA-dispatched vector kernel layer for the training hot paths.
  *
  * Every dense inner loop the paper's characterization blames for
- * training time — GEMM row blocks, elementwise ops, Adam's
+ * training time — GEMM panels, elementwise ops, Adam's
  * per-parameter update, soft target-network updates and the replay
  * gather copies — funnels through one table of function pointers
  * selected at startup: a portable scalar reference, and an AVX2+FMA
@@ -108,19 +108,29 @@ struct KernelTable
     void (*copy)(const Real *s, Real *d, std::size_t n);
 
     /**
-     * Fused GEMM row block shared by all gemm variants:
-     *   c[j] += sum_{t < kb} a[t * astride] * b[t * ldb + j]
-     * for j < n, with the kb terms of each c[j] accumulated in
-     * ascending t order (the bit-exactness invariant every caller
-     * relies on). When skip_zeros, coefficients exactly equal to 0
-     * contribute nothing — not even a 0 * x add — which both honours
-     * the forward pass's one-hot/ReLU sparsity shortcut and keeps
-     * -0/+0 bit patterns in c untouched, exactly like the scalar
-     * reference.
+     * Register-tiled GEMM panel, the one entry every gemm variant
+     * runs through:
+     *   c[i * ldc + j] = sum_{t < k} a[i * a_row + t * a_k]
+     *                                * b[t * ldb + j]
+     * for i < m and j < n. The (row, k) strides let one entry read
+     * A row-major (gemm, gemmNT: a_row = lda, a_k = 1) or as a
+     * transpose (gemmTN: a_row = 1, a_k = lda). Every c element
+     * starts at +0 and adds its k terms in ascending t order, one
+     * mul then one add per term — the bit-exactness invariant every
+     * caller relies on, independent of how an implementation tiles
+     * rows and columns. What c held before the call is never read.
+     *
+     * When skip_zeros, a coefficient exactly equal to 0 contributes
+     * nothing, so 0 * Inf or 0 * NaN in b never reaches c: the
+     * forward pass's one-hot/ReLU sparsity shortcut. Without it the
+     * zero terms are added; since an accumulator that starts at +0
+     * can never become -0, a skipped ±0 term changes no bit, so
+     * callers drop the skip whenever b is all finite.
      */
-    void (*gemmBlock)(const Real *a, std::size_t astride,
-                      const Real *b, std::size_t ldb, std::size_t kb,
-                      Real *c, std::size_t n, bool skip_zeros);
+    void (*gemmPanel)(const Real *a, std::size_t a_row,
+                      std::size_t a_k, const Real *b, std::size_t ldb,
+                      std::size_t k, Real *c, std::size_t ldc,
+                      std::size_t m, std::size_t n, bool skip_zeros);
 };
 
 /**
@@ -155,11 +165,12 @@ void setIsa(Isa isa);
 /**
  * Route every kernel call through counting wrappers that bump
  * per-kernel invocation and element counters in the obs registry
- * ("kernels.<name>.calls" / "kernels.<name>.elems"; gemmBlock counts
- * multiply-accumulates). Off by default, and the off state is free:
- * the dispatched table *is* the real ISA table, so kernel calls carry
- * exactly zero instrumentation cost until the CLI or a bench enables
- * counting for a telemetry/trace run. Not synchronized against
+ * ("kernels.<name>.calls" / "kernels.<name>.elems"; gemmPanel counts
+ * one call per panel and m * k * n multiply-accumulates). Off by
+ * default, and the off state is free: the dispatched table *is* the
+ * real ISA table, so kernel calls carry exactly zero instrumentation
+ * cost until the CLI or a bench enables counting for a
+ * telemetry/trace run. Not synchronized against
  * in-flight kernels — same caveat as setIsa().
  */
 void setCounting(bool enabled);

@@ -15,7 +15,8 @@
  *  - _mm256_sqrt_ps / _mm256_div_ps only, which are IEEE
  *    correctly-rounded — no rsqrt/rcp approximations.
  * Tail elements fall back to the same scalar expressions, compiled
- * in this TU under the same -ffp-contract=off.
+ * in this TU under the same -ffp-contract=off; the GEMM panel masks
+ * its column tails instead, so every C element still gets one lane.
  */
 
 #include <cmath>
@@ -219,35 +220,200 @@ copyAvx2(const Real *s, Real *d, std::size_t n)
         std::memcpy(d + i, s + i, (n - i) * sizeof(Real));
 }
 
-void
-gemmBlockAvx2(const Real *a, std::size_t astride, const Real *b,
-              std::size_t ldb, std::size_t kb, Real *c,
-              std::size_t n, bool skip_zeros)
+// ---- GEMM panel -------------------------------------------------
+//
+// A tile of MR rows x NV vectors of C lives in registers for the
+// whole k range: per t it loads NV vectors of one B row, broadcasts
+// MR coefficients, and runs one mul then one add per accumulator,
+// in ascending t — each lane's chain is exactly the scalar twin's.
+// C is stored once at the end instead of loaded and stored per t.
+//
+// The zero skip is a compare and a mask instead of a branch: a dead
+// coefficient (== 0) turns its products into +0, and adding +0 to an
+// accumulator that started at +0 (so is never -0) leaves every bit
+// as it was, NaN payloads included. NaN coefficients compare
+// unordered and so stay live, as in the scalar `coef == 0` test.
+
+/** Rows per full tile; 6 x 2 vectors keeps 12 accumulators live. */
+constexpr std::size_t panelRows = 6;
+
+/**
+ * Vectors per tile for an MR-row tile: 8 to 12 accumulators hide
+ * the add latency, and a short tile gets wider columns so one-row
+ * products (action selection, serve batches) keep that many chains.
+ */
+template <int MR>
+constexpr int
+panelVectors()
 {
-    for (std::size_t t = 0; t < kb; ++t) {
-        const Real coef = a[t * astride];
-        if (skip_zeros && coef == Real(0))
-            continue;
+    return MR == 1 ? 8 : MR <= 3 ? 4 : MR == 4 ? 3 : 2;
+}
+
+/** Lanes [0, w) set: the mask of a w-wide column tail, 0 < w < 8. */
+__m256i
+tailMask(std::size_t w)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(w)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6,
+                                                7));
+}
+
+/**
+ * One MR x (8 * NV) tile of C over the full k range; with Tail, the
+ * last vector covers only the lanes set in @p tail. The unroll
+ * pragmas are load-bearing: fully unrolled before register
+ * allocation, acc stays in registers instead of being stored to the
+ * stack on every t.
+ */
+template <int MR, int NV, bool Skip, bool Tail>
+void
+panelTile(const Real *a, std::size_t a_row, std::size_t a_k,
+          const Real *b, std::size_t ldb, std::size_t k, Real *c,
+          std::size_t ldc, __m256i tail)
+{
+    __m256 acc[MR][NV];
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = _mm256_setzero_ps();
+    const __m256 zero = _mm256_setzero_ps();
+    for (std::size_t t = 0; t < k; ++t) {
         const Real *brow = b + t * ldb;
-        const __m256 vc = _mm256_set1_ps(coef);
-        std::size_t j = 0;
-        for (; j + lanes <= n; j += lanes) {
-            const __m256 vb = _mm256_loadu_ps(brow + j);
-            const __m256 acc = _mm256_loadu_ps(c + j);
-            _mm256_storeu_ps(
-                c + j,
-                _mm256_add_ps(acc, _mm256_mul_ps(vc, vb)));
+        __m256 vb[NV];
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v) {
+            vb[v] = (Tail && v == NV - 1)
+                        ? _mm256_maskload_ps(brow + v * lanes, tail)
+                        : _mm256_loadu_ps(brow + v * lanes);
         }
-        for (; j < n; ++j)
-            c[j] += coef * brow[j];
+        const Real *acol = a + t * a_k;
+#pragma GCC unroll 8
+        for (int r = 0; r < MR; ++r) {
+            const __m256 va = _mm256_broadcast_ss(acol + r * a_row);
+            if constexpr (Skip) {
+                const __m256 live = _mm256_cmp_ps(va, zero, _CMP_NEQ_UQ);
+#pragma GCC unroll 8
+                for (int v = 0; v < NV; ++v)
+                    acc[r][v] = _mm256_add_ps(
+                        acc[r][v],
+                        _mm256_and_ps(live, _mm256_mul_ps(va, vb[v])));
+            } else {
+#pragma GCC unroll 8
+                for (int v = 0; v < NV; ++v)
+                    acc[r][v] = _mm256_add_ps(acc[r][v],
+                                              _mm256_mul_ps(va, vb[v]));
+            }
+        }
     }
+#pragma GCC unroll 8
+    for (int r = 0; r < MR; ++r) {
+        Real *crow = c + r * ldc;
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v) {
+            if (Tail && v == NV - 1)
+                _mm256_maskstore_ps(crow + v * lanes, tail, acc[r][v]);
+            else
+                _mm256_storeu_ps(crow + v * lanes, acc[r][v]);
+        }
+    }
+}
+
+/** The last 0 < w < 8 * NV columns of an MR-row strip. */
+template <int MR, int NV, bool Skip>
+void
+panelTail(const Real *a, std::size_t a_row, std::size_t a_k,
+          const Real *b, std::size_t ldb, std::size_t k, Real *c,
+          std::size_t ldc, std::size_t w)
+{
+    if constexpr (NV > 1) {
+        if (w <= (NV - 1) * lanes) {
+            panelTail<MR, NV - 1, Skip>(a, a_row, a_k, b, ldb, k, c,
+                                        ldc, w);
+            return;
+        }
+    }
+    if (w == NV * lanes) {
+        panelTile<MR, NV, Skip, false>(a, a_row, a_k, b, ldb, k, c,
+                                       ldc, _mm256_setzero_si256());
+    } else {
+        panelTile<MR, NV, Skip, true>(a, a_row, a_k, b, ldb, k, c, ldc,
+                                      tailMask(w - (NV - 1) * lanes));
+    }
+}
+
+/** All n columns of an MR-row strip, full tiles then the tail. */
+template <int MR, bool Skip>
+void
+panelStrip(const Real *a, std::size_t a_row, std::size_t a_k,
+           const Real *b, std::size_t ldb, std::size_t k, Real *c,
+           std::size_t ldc, std::size_t n)
+{
+    constexpr int nv = panelVectors<MR>();
+    constexpr std::size_t width = nv * lanes;
+    std::size_t j = 0;
+    for (; j + width <= n; j += width) {
+        panelTile<MR, nv, Skip, false>(a, a_row, a_k, b + j, ldb, k,
+                                       c + j, ldc,
+                                       _mm256_setzero_si256());
+    }
+    if (j < n) {
+        panelTail<MR, nv, Skip>(a, a_row, a_k, b + j, ldb, k, c + j,
+                                ldc, n - j);
+    }
+}
+
+template <bool Skip>
+void
+panel(const Real *a, std::size_t a_row, std::size_t a_k, const Real *b,
+      std::size_t ldb, std::size_t k, Real *c, std::size_t ldc,
+      std::size_t m, std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + panelRows <= m; i += panelRows) {
+        panelStrip<panelRows, Skip>(a + i * a_row, a_row, a_k, b, ldb,
+                                    k, c + i * ldc, ldc, n);
+    }
+    const Real *ar = a + i * a_row;
+    Real *cr = c + i * ldc;
+    switch (m - i) {
+    case 1:
+        panelStrip<1, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n);
+        break;
+    case 2:
+        panelStrip<2, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n);
+        break;
+    case 3:
+        panelStrip<3, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n);
+        break;
+    case 4:
+        panelStrip<4, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n);
+        break;
+    case 5:
+        panelStrip<5, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n);
+        break;
+    default:
+        break;
+    }
+}
+
+void
+gemmPanelAvx2(const Real *a, std::size_t a_row, std::size_t a_k,
+              const Real *b, std::size_t ldb, std::size_t k, Real *c,
+              std::size_t ldc, std::size_t m, std::size_t n,
+              bool skip_zeros)
+{
+    if (skip_zeros)
+        panel<true>(a, a_row, a_k, b, ldb, k, c, ldc, m, n);
+    else
+        panel<false>(a, a_row, a_k, b, ldb, k, c, ldc, m, n);
 }
 
 constexpr KernelTable avx2TableInstance = {
     Isa::Avx2,       axpyAvx2,       addAvx2,
     subAvx2,         scaleAvx2,      clampAvx2,
     reluForwardAvx2, reluBackwardAvx2, adamStepAvx2,
-    softUpdateAvx2,  copyAvx2,       gemmBlockAvx2,
+    softUpdateAvx2,  copyAvx2,       gemmPanelAvx2,
 };
 
 } // namespace

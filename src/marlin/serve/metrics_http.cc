@@ -144,6 +144,7 @@ void
 MetricsHttp::stop()
 {
     stopFlag.store(true, std::memory_order_release);
+    poller.wake();
     if (thread.joinable())
         thread.join();
     for (auto &[fd, conn] : conns)

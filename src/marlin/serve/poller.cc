@@ -1,12 +1,15 @@
 #include "marlin/serve/poller.hh"
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #ifdef __linux__
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #endif
 
 #include "marlin/base/logging.hh"
@@ -44,18 +47,66 @@ Poller::Poller(PollerKind kind)
             useEpoll = false;
         }
     }
+    wakeRead = wakeWrite = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
 #else
     if (kind == PollerKind::Epoll)
         fatal("epoll poller requested on a non-Linux platform");
     useEpoll = false;
+    int fds[2];
+    if (::pipe(fds) == 0) {
+        wakeRead = fds[0];
+        wakeWrite = fds[1];
+        for (int fd : fds)
+            ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+    }
 #endif
     (void)kind;
+    if (wakeRead < 0) {
+        // wake() becomes a no-op: a stop waits out the poll timeout.
+        warn("poller wake channel: %s", std::strerror(errno));
+        return;
+    }
+#ifdef __linux__
+    if (useEpoll) {
+        struct epoll_event ev{};
+        ev.events = EPOLLIN;
+        ev.data.fd = wakeRead;
+        if (::epoll_ctl(epollFd, EPOLL_CTL_ADD, wakeRead, &ev) != 0)
+            warn("epoll_ctl add wake fd: %s", std::strerror(errno));
+    }
+#endif
 }
 
 Poller::~Poller()
 {
     if (epollFd >= 0)
         ::close(epollFd);
+    if (wakeWrite >= 0 && wakeWrite != wakeRead)
+        ::close(wakeWrite);
+    if (wakeRead >= 0)
+        ::close(wakeRead);
+}
+
+void
+Poller::wake()
+{
+    if (wakeWrite < 0)
+        return;
+    // Signal handlers may call this: keep the interrupted code's
+    // errno. A full channel (EAGAIN) already holds a pending wake.
+    const int saved = errno;
+    const std::uint64_t one = 1;
+    if (::write(wakeWrite, &one, sizeof(one)) < 0) {
+    }
+    errno = saved;
+}
+
+void
+Poller::drainWake()
+{
+    std::uint64_t buf[8];
+    while (::read(wakeRead, buf, sizeof(buf)) > 0) {
+    }
 }
 
 const char *
@@ -126,6 +177,10 @@ Poller::wait(std::vector<PollEvent> &out, int timeout_ms)
             return 0;
         }
         for (int i = 0; i < n; ++i) {
+            if (events[i].data.fd == wakeRead) {
+                drainWake();
+                continue;
+            }
             PollEvent ev;
             ev.fd = events[i].data.fd;
             ev.readable = (events[i].events & EPOLLIN) != 0;
@@ -138,6 +193,12 @@ Poller::wait(std::vector<PollEvent> &out, int timeout_ms)
     }
 #endif
     pollScratch.clear();
+    if (wakeRead >= 0) {
+        struct pollfd p{};
+        p.fd = wakeRead;
+        p.events = POLLIN;
+        pollScratch.push_back(p);
+    }
     for (const auto &[fd, want_write] : interest) {
         struct pollfd p{};
         p.fd = fd;
@@ -156,6 +217,10 @@ Poller::wait(std::vector<PollEvent> &out, int timeout_ms)
     for (const struct pollfd &p : pollScratch) {
         if (p.revents == 0)
             continue;
+        if (p.fd == wakeRead) {
+            drainWake();
+            continue;
+        }
         PollEvent ev;
         ev.fd = p.fd;
         ev.readable = (p.revents & POLLIN) != 0;

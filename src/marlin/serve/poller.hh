@@ -72,9 +72,23 @@ class Poller
      */
     std::size_t wait(std::vector<PollEvent> &out, int timeout_ms);
 
+    /**
+     * Make the blocked wait(), or the next one, return at once. Safe
+     * from any thread and from a signal handler: one write(2) to a
+     * non-blocking eventfd (a pipe off Linux), which wait() drains
+     * and never reports as an event.
+     */
+    void wake();
+
   private:
+    /** Drain the wake channel after it polled readable. */
+    void drainWake();
+
     bool useEpoll = false;
     int epollFd = -1;
+    /** Wake channel ends; the same eventfd twice on Linux. */
+    int wakeRead = -1;
+    int wakeWrite = -1;
     /** fd -> write interest, for both backends. */
     std::map<int, bool> interest;
     /** poll(2) backend scratch, rebuilt per wait. */

@@ -98,11 +98,16 @@ class Server
      */
     void run();
 
-    /** Ask the loop to exit; safe from any thread/signal handler. */
+    /**
+     * Ask the loop to exit and wake it, so an idle loop does not
+     * sleep out its poll timeout; safe from any thread/signal
+     * handler.
+     */
     void
     stop()
     {
         stopFlag.store(true, std::memory_order_release);
+        poller.wake();
     }
 
     /**

@@ -16,6 +16,7 @@
 #include "marlin/core/matd3.hh"
 #include "marlin/core/train_loop.hh"
 #include "marlin/env/environment.hh"
+#include "marlin/numeric/kernels.hh"
 #include "marlin/replay/prioritized_sampler.hh"
 #include "marlin/replay/sharded_store.hh"
 #include "marlin/replay/uniform_sampler.hh"
@@ -428,6 +429,41 @@ TEST(Determinism, Matd3WeightsBitIdenticalAcrossThreadCounts)
     EXPECT_TRUE(one == four)
         << "per-agent RNG streams should decouple MATD3's target "
            "noise from pool scheduling";
+}
+
+/**
+ * The kernel ISA contract end to end: a scalar run on one thread and
+ * an AVX2 run on four must leave byte-identical trainer state.
+ */
+template <typename TrainerT>
+void
+expectBitIdenticalAcrossIsas()
+{
+    using numeric::kernels::Isa;
+    if (!numeric::kernels::isaAvailable(Isa::Avx2))
+        GTEST_SKIP() << "AVX2 kernels unavailable on this host";
+    std::string scalar, avx2;
+    {
+        numeric::kernels::ScopedIsa pin(Isa::Scalar);
+        scalar = trainSerialized<TrainerT>(1);
+    }
+    {
+        numeric::kernels::ScopedIsa pin(Isa::Avx2);
+        avx2 = trainSerialized<TrainerT>(4);
+    }
+    ASSERT_EQ(scalar.size(), avx2.size());
+    EXPECT_TRUE(scalar == avx2)
+        << "scalar (1 thread) and AVX2 (4 threads) training diverged";
+}
+
+TEST(Determinism, MaddpgWeightsBitIdenticalAcrossIsas)
+{
+    expectBitIdenticalAcrossIsas<MaddpgTrainer>();
+}
+
+TEST(Determinism, Matd3WeightsBitIdenticalAcrossIsas)
+{
+    expectBitIdenticalAcrossIsas<Matd3Trainer>();
 }
 
 } // namespace

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -170,6 +172,26 @@ TEST(MetricsHttp, ServesScrapeAndHealthOnBackgroundThread)
 
     EXPECT_GE(http.scrapesServed(), 1u);
     http.stop();
+}
+
+TEST(MetricsHttp, StopWakesAnIdleBackgroundLoopPromptly)
+{
+    // The background loop waits 50 ms per idle service turn. Stopped
+    // 5 ms into that wait, a loop nobody wakes makes the join wait out
+    // the other 45 ms; a woken one exits at once. The 20 ms bound
+    // leaves room for a thread that is runnable but not yet scheduled
+    // on a host loaded by a parallel test run.
+    for (int cycle = 0; cycle < 5; ++cycle) {
+        serve::MetricsHttp http;
+        ASSERT_TRUE(http.start());
+        http.startThread();
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        const auto t0 = std::chrono::steady_clock::now();
+        http.stop();
+        const std::chrono::duration<double, std::milli> took =
+            std::chrono::steady_clock::now() - t0;
+        EXPECT_LT(took.count(), 20.0) << "cycle " << cycle;
+    }
 }
 
 TEST(MetricsHttp, RejectsBadPathsAndMethodsPerConnection)

@@ -377,16 +377,6 @@ TEST(Kernels, GemmParityEdgeShapes)
     });
 }
 
-TEST(Kernels, GemmAccParityEdgeShapes)
-{
-    gemmParity([](const Matrix &a, const Matrix &b, Matrix &c) {
-        c.resize(a.rows(), b.cols());
-        Rng rng(22);
-        fillUniform(c, rng, -1, 1);
-        gemmAcc(a, b, c);
-    });
-}
-
 TEST(Kernels, GemmTNParityEdgeShapes)
 {
     // gemmTN computes a^T * b where a is (k x m): reuse the shape
@@ -463,6 +453,187 @@ TEST(Kernels, GemmSizeOneRowsAndEmpty)
         std::vector<Real> pack;
         gemmNT(a2, b2, c2, pack);
         EXPECT_EQ(c2(0, 0), Real(18));
+    }
+}
+
+// --- GEMM variants against a naive ascending-k loop ----------------
+
+/**
+ * The numerics every GEMM variant must reproduce bit for bit, on any
+ * ISA: C(i, j) starts at +0 and adds a(i, t) * b(t, j) in ascending
+ * t, skipping a coefficient exactly equal to 0 when @p skip_zeros
+ * (gemm and gemmTN skip; gemmNT never does).
+ */
+Matrix
+naiveProduct(const Matrix &a, const Matrix &b, bool skip_zeros)
+{
+    Matrix c(a.rows(), b.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        for (std::size_t j = 0; j < b.cols(); ++j) {
+            Real acc = Real(0);
+            for (std::size_t t = 0; t < a.cols(); ++t) {
+                const Real coef = a(i, t);
+                if (skip_zeros && coef == Real(0))
+                    continue;
+                acc += coef * b(t, j);
+            }
+            c(i, j) = acc;
+        }
+    }
+    return c;
+}
+
+/** Columns t with t % 4 == 1 are all zero in sparseCoefficients. */
+bool
+deadColumn(std::size_t t)
+{
+    return t % 4 == 1;
+}
+
+/**
+ * m x k coefficients shaped like forward inputs: ReLU outputs (about
+ * half exact zeros, of both signs) in the first columns, one-hot
+ * 5-wide action blocks after them, and every deadColumn() all zero,
+ * like a unit no row of the batch activates.
+ */
+Matrix
+sparseCoefficients(std::size_t m, std::size_t k, Rng &rng)
+{
+    Matrix a(m, k);
+    const std::size_t relu_cols = k - k / 3;
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t t = 0; t < relu_cols; ++t) {
+            const Real x = Real(2) * rng.uniformf() - Real(1);
+            a(i, t) = x > Real(0) ? x : (t % 2 ? Real(-0.0) : Real(0));
+        }
+        for (std::size_t t = relu_cols; t < k; t += 5)
+            a(i, t + rng.randint(std::min<std::size_t>(5, k - t))) =
+                Real(1);
+        for (std::size_t t = 0; t < k; ++t)
+            if (deadColumn(t))
+                a(i, t) = (i % 2) ? Real(-0.0) : Real(0);
+    }
+    return a;
+}
+
+/**
+ * k x n values; rows at deadColumn() indices hold Inf, -Inf and NaN
+ * when @p poison, so only a skipped zero coefficient keeps them out.
+ */
+Matrix
+denseValues(std::size_t k, std::size_t n, Rng &rng, bool poison)
+{
+    const Real specials[] = {std::numeric_limits<Real>::infinity(),
+                             -std::numeric_limits<Real>::infinity(),
+                             std::numeric_limits<Real>::quiet_NaN()};
+    Matrix b(k, n);
+    fillUniform(b, rng, -1, 1);
+    for (std::size_t t = 0; poison && t < k; ++t)
+        if (deadColumn(t))
+            for (std::size_t j = 0; j < n; ++j)
+                b(t, j) = specials[(t + j) % 3];
+    return b;
+}
+
+/** Row counts of action selection, serve batches and mini-batches. */
+const std::size_t kNaiveRows[] = {1, 2, 3, 5, 7, 13, 17, 50};
+/** Depths: empty, rank-1, odd, CN-3 obs width, CN-3 joint width. */
+const std::size_t kNaiveDepths[] = {0, 1, 7, 18, 69};
+
+/** Widths 0-17 (every column tail), then 64 and 69. */
+std::vector<std::size_t>
+naiveWidths()
+{
+    std::vector<std::size_t> widths;
+    for (std::size_t n = 0; n <= 17; ++n)
+        widths.push_back(n);
+    widths.push_back(64);
+    widths.push_back(69);
+    return widths;
+}
+
+/** Every ISA this host runs, so the scalar twin is pinned too. */
+std::vector<Isa>
+availableIsas()
+{
+    std::vector<Isa> isas = {Isa::Scalar};
+    if (avx2Available())
+        isas.push_back(Isa::Avx2);
+    return isas;
+}
+
+/** Stale output contents a product must overwrite, never read. */
+Matrix
+staleOutput(std::size_t rows, std::size_t cols)
+{
+    Matrix c(rows, cols);
+    c.fill(std::numeric_limits<Real>::quiet_NaN());
+    return c;
+}
+
+TEST(Kernels, GemmMatchesNaiveSkippingLoop)
+{
+    for (Isa isa : availableIsas()) {
+        kernels::ScopedIsa pin(isa);
+        for (std::size_t m : kNaiveRows)
+            for (std::size_t k : kNaiveDepths)
+                for (std::size_t n : naiveWidths())
+                    for (bool poison : {false, true}) {
+                        Rng rng(m * 1000 + k * 100 + n);
+                        const Matrix a = sparseCoefficients(m, k, rng);
+                        const Matrix b = denseValues(k, n, rng, poison);
+                        Matrix c = staleOutput(m, n);
+                        gemm(a, b, c);
+                        EXPECT_TRUE(bitEqual(c, naiveProduct(a, b, true)))
+                            << kernels::isaName(isa) << " " << m << "x"
+                            << k << "x" << n << " poison=" << poison;
+                    }
+    }
+}
+
+TEST(Kernels, GemmTNMatchesNaiveSkippingLoop)
+{
+    // gemmTN(at, b) = at^T b: its coefficients are the columns of at,
+    // so a dead coefficient row of at^T meets a poisoned row of b.
+    for (Isa isa : availableIsas()) {
+        kernels::ScopedIsa pin(isa);
+        for (std::size_t m : kNaiveRows)
+            for (std::size_t k : kNaiveDepths)
+                for (std::size_t n : naiveWidths())
+                    for (bool poison : {false, true}) {
+                        Rng rng(m * 1000 + k * 100 + n + 7);
+                        const Matrix a = sparseCoefficients(m, k, rng);
+                        const Matrix at = a.transposed();
+                        const Matrix b = denseValues(k, n, rng, poison);
+                        Matrix c = staleOutput(m, n);
+                        gemmTN(at, b, c);
+                        EXPECT_TRUE(bitEqual(c, naiveProduct(a, b, true)))
+                            << kernels::isaName(isa) << " " << m << "x"
+                            << k << "x" << n << " poison=" << poison;
+                    }
+    }
+}
+
+TEST(Kernels, GemmNTMatchesNaiveNonSkippingLoop)
+{
+    // gemmNT never skips: dL/dy times weights, both dense. Exact ±0
+    // coefficients still add their ±0 terms.
+    for (Isa isa : availableIsas()) {
+        kernels::ScopedIsa pin(isa);
+        std::vector<Real> pack;
+        for (std::size_t m : kNaiveRows)
+            for (std::size_t k : kNaiveDepths)
+                for (std::size_t n : naiveWidths()) {
+                    Rng rng(m * 1000 + k * 100 + n + 13);
+                    const Matrix a = sparseCoefficients(m, k, rng);
+                    const Matrix bn = denseValues(n, k, rng, false);
+                    Matrix c = staleOutput(m, n);
+                    gemmNT(a, bn, c, pack);
+                    EXPECT_TRUE(bitEqual(
+                        c, naiveProduct(a, bn.transposed(), false)))
+                        << kernels::isaName(isa) << " " << m << "x" << k
+                        << "x" << n;
+                }
     }
 }
 

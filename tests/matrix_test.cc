@@ -153,21 +153,6 @@ TEST_P(GemmShapes, NTMatchesReference)
     expectNear(c, refGemm(a, bt.transposed()));
 }
 
-TEST_P(GemmShapes, AccAccumulates)
-{
-    const auto [m, k, n] = GetParam();
-    Rng rng(m + k + n);
-    Matrix a = randomMatrix(m, k, rng);
-    Matrix b = randomMatrix(k, n, rng);
-    Matrix c(m, n);
-    c.fill(Real(1));
-    gemmAcc(a, b, c);
-    Matrix expected = refGemm(a, b);
-    for (std::size_t i = 0; i < expected.size(); ++i)
-        expected.data()[i] += Real(1);
-    expectNear(c, expected);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmShapes,
     ::testing::Values(std::make_tuple(1, 1, 1),

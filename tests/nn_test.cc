@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "marlin/nn/adam.hh"
 #include "marlin/nn/grad_check.hh"
 #include "marlin/nn/loss.hh"
 #include "marlin/nn/mlp.hh"
+#include "marlin/numeric/kernels.hh"
 #include "marlin/numeric/ops.hh"
 
 namespace marlin::nn
@@ -43,7 +45,8 @@ TEST(Linear, BackwardShapes)
     fillUniform(x, rng, -1, 1);
     fillUniform(gy, rng, -1, 1);
     lin.forward(x, y);
-    lin.backward(gy, gx);
+    lin.backwardParams(gy);
+    lin.backwardInput(gy, gx);
     EXPECT_EQ(gx.rows(), 5u);
     EXPECT_EQ(gx.cols(), 4u);
     EXPECT_EQ(lin.weight.grad.rows(), 4u);
@@ -223,6 +226,53 @@ TEST(Mlp, GradientsAccumulateAcrossBackwards)
     run_backward();
     const Real g2 = net.params()[0]->grad(0, 0);
     EXPECT_NEAR(g2, 2 * g1, std::abs(g1) * 1e-3 + 1e-7);
+}
+
+TEST(Mlp, BackwardInputSlicesMatchFullBackwardColumns)
+{
+    // A critic-shaped net: the actor step reads dL/dx only at one
+    // agent's action block. Every slice must equal those columns of
+    // a full backward bit for bit, under every ISA, and must leave
+    // the parameter gradients alone.
+    const std::size_t in = 23;
+    const std::pair<std::size_t, std::size_t> slices[] = {
+        {0, 5}, {9, 14}, {in - 5, in}, {0, in}};
+    for (auto isa : {numeric::kernels::Isa::Scalar,
+                     numeric::kernels::Isa::Avx2}) {
+        if (!numeric::kernels::isaAvailable(isa))
+            continue;
+        numeric::kernels::ScopedIsa pin(isa);
+        Rng rng(11);
+        MlpConfig config;
+        config.inputDim = in;
+        config.hiddenDims = {16, 16};
+        config.outputDim = 2;
+        Mlp net(config, rng);
+        Matrix x(37, in), gy(37, 2);
+        fillUniform(x, rng, -1, 1);
+        fillUniform(gy, rng, -1, 1);
+        Matrix y, full;
+        net.forward(x, y);
+        net.backward(gy, &full);
+        net.zeroGrad();
+
+        for (const auto &[c0, c1] : slices) {
+            Matrix slice;
+            net.backwardInput(gy, c0, c1, slice);
+            ASSERT_EQ(slice.rows(), x.rows());
+            ASSERT_EQ(slice.cols(), c1 - c0);
+            for (std::size_t r = 0; r < slice.rows(); ++r)
+                EXPECT_EQ(std::memcmp(slice.row(r), full.row(r) + c0,
+                                      (c1 - c0) * sizeof(Real)),
+                          0)
+                    << numeric::kernels::isaName(isa) << " columns ["
+                    << c0 << ", " << c1 << ") row " << r;
+        }
+        for (const Param *p : net.params())
+            for (std::size_t k = 0; k < p->grad.size(); ++k)
+                ASSERT_EQ(p->grad.data()[k], Real(0))
+                    << "backwardInput touched a parameter gradient";
+    }
 }
 
 TEST(Mlp, CopyFromMakesOutputsIdentical)

@@ -134,8 +134,9 @@ TEST_P(PerAlphaSweep, HigherPriorityNeverSampledLess)
     for (int i = 0; i + 1 < 8; ++i)
         EXPECT_GE(counts[i] + 400, counts[i + 1])
             << "alpha " << alpha << " slot " << i;
-    if (alpha > 0)
+    if (alpha > 0) {
         EXPECT_GT(counts[0], counts[7]);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Alphas, PerAlphaSweep,

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -351,10 +352,19 @@ struct ServerRig
         loop = std::thread([this] { server->run(); });
     }
 
-    ~ServerRig()
+    ~ServerRig() { stopAndJoin(); }
+
+    /** Stop the loop and join it; returns the milliseconds taken. */
+    double
+    stopAndJoin()
     {
+        if (!loop.joinable())
+            return 0;
+        const std::uint64_t t0 = base::nowNsSinceStart();
         server->stop();
         loop.join();
+        return static_cast<double>(base::nowNsSinceStart() - t0) *
+               1e-6;
     }
 
     serve::BlockingClient
@@ -558,6 +568,26 @@ TEST(ServeServer, PollBackendServes)
     ASSERT_TRUE(client.request(0, obs.data(), obs.size(), actions,
                                status));
     EXPECT_EQ(status, serve::Status::Ok);
+}
+
+TEST(ServeServer, StopWakesAnIdleLoopPromptly)
+{
+    // An idle loop blocks in its poller for 50 ms at a time. Stopped
+    // 5 ms into that wait, a loop nobody wakes makes the join wait
+    // out the other 45 ms; a woken one exits at once. The 20 ms bound
+    // leaves room for a thread that is runnable but not yet scheduled
+    // on a host loaded by a parallel test run.
+    for (serve::PollerKind kind :
+         {serve::PollerKind::Auto, serve::PollerKind::Poll}) {
+        for (int cycle = 0; cycle < 5; ++cycle) {
+            serve::ServeConfig config;
+            config.poller = kind;
+            ServerRig rig(config);
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            EXPECT_LT(rig.stopAndJoin(), 20.0)
+                << rig.server->backendName() << " cycle " << cycle;
+        }
+    }
 }
 
 // ---------------------------------------------------------------

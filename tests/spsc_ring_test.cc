@@ -460,8 +460,9 @@ TEST(TransitionRing, TwoThreadDrainAccountsEveryRecord)
             std::this_thread::yield();
             continue;
         }
-        if (have_last)
+        if (have_last) {
             EXPECT_GT(s, last_seq) << "sequence must be increasing";
+        }
         last_seq = s;
         have_last = true;
         ++popped;
