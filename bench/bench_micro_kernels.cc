@@ -110,26 +110,29 @@ BM_GemmNT(benchmark::State &state, Isa isa)
 BENCHMARK_CAPTURE(BM_GemmNT, scalar, Isa::Scalar)->Arg(64)->Arg(512);
 BENCHMARK_CAPTURE(BM_GemmNT, avx2, Isa::Avx2)->Arg(64)->Arg(512);
 
-// --- Elementwise / optimizer kernels --------------------------------
-
 void
-BM_ReluForward(benchmark::State &state, Isa isa)
+BM_GemmHiddenForward(benchmark::State &state, Isa isa)
 {
     if (!pinIsa(state, isa))
         return;
+    // batch x 64 times 64 x 64 with the bias and ReLU fused into the
+    // panel's epilogue — one hidden layer's whole forward.
     const std::size_t n = static_cast<std::size_t>(state.range(0));
     Rng rng(10);
-    Matrix x(1, n), y(1, n);
-    numeric::fillUniform(x, rng, -1, 1);
-    const auto &kt = numeric::kernels::active();
+    Matrix a(1024, n), b(n, n), bias(1, n), c;
+    numeric::fillUniform(a, rng, -1, 1);
+    numeric::fillUniform(b, rng, -1, 1);
+    numeric::fillUniform(bias, rng, -1, 1);
     for (auto _ : state) {
-        kt.reluForward(x.data(), y.data(), n);
-        benchmark::DoNotOptimize(y.data());
+        numeric::gemm(a, b, c, &bias, true);
+        benchmark::DoNotOptimize(c.data());
     }
-    state.SetItemsProcessed(state.iterations() * n);
+    state.SetItemsProcessed(state.iterations() * 1024 * n * n);
 }
-BENCHMARK_CAPTURE(BM_ReluForward, scalar, Isa::Scalar)->Arg(1 << 16);
-BENCHMARK_CAPTURE(BM_ReluForward, avx2, Isa::Avx2)->Arg(1 << 16);
+BENCHMARK_CAPTURE(BM_GemmHiddenForward, scalar, Isa::Scalar)->Arg(64);
+BENCHMARK_CAPTURE(BM_GemmHiddenForward, avx2, Isa::Avx2)->Arg(64);
+
+// --- Elementwise / optimizer kernels --------------------------------
 
 void
 BM_Axpy(benchmark::State &state, Isa isa)

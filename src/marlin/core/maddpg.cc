@@ -398,9 +398,9 @@ CtdeTrainerBase::criticActorStep(std::size_t i,
             return false;
         }
     }
-    net.critic.backward(dq);
+    net.critic.backward(joint, dq);
     if (net.critic2)
-        net.critic2->backward(dq2);
+        net.critic2->backward(joint, dq2);
     net.criticOpt.step();
     stats.criticLoss += critic_loss;
     stats.criticGradNorm += l2Norm(dq);
@@ -435,17 +435,15 @@ CtdeTrainerBase::criticActorStep(std::size_t i,
     if (discrete)
         numeric::softmaxRows(soft);
 
-    ws.jointPi = joint;
-    Matrix &joint_pi = ws.jointPi;
+    // The critic's input again, now with soft in place of agent i's
+    // stored actions: jointCurrentInto's parts with one swapped.
+    MARLIN_ASSERT(ws.concat[batches.size() + i] == &batches[i].actions,
+                  "ws.concat no longer holds the stored joint's parts");
+    ws.concat[batches.size() + i] = &soft;
+    numeric::hconcatInto(ws.concat, ws.jointPi);
     const std::size_t col = actionColumn(i);
-    for (std::size_t r = 0; r < joint_pi.rows(); ++r) {
-        Real *dst = joint_pi.row(r) + col;
-        const Real *src = soft.row(r);
-        for (std::size_t c = 0; c < actDim; ++c)
-            dst[c] = src[c];
-    }
 
-    net.critic.forward(joint_pi, ws.qPi);
+    net.critic.forward(ws.jointPi, ws.qPi);
     const Real actor_loss = nn::policyLoss(ws.qPi, ws.dqPi);
     // The critic is frozen during the actor step: backprop computes
     // no critic gradient, and of the critic's input gradient only
@@ -479,7 +477,7 @@ CtdeTrainerBase::criticActorStep(std::size_t i,
             return false;
         }
     }
-    net.actor.backward(d_logits);
+    net.actor.backward(batches[i].obs, d_logits);
     net.actorOpt.step();
     stats.actorLoss += actor_loss;
     stats.actorGradNorm += l2Norm(d_logits);

@@ -1,9 +1,6 @@
 #include "marlin/nn/activation.hh"
 
-#include <cmath>
-
 #include "marlin/base/logging.hh"
-#include "marlin/numeric/kernels.hh"
 
 namespace marlin::nn
 {
@@ -32,51 +29,6 @@ activationName(Activation a)
         return "tanh";
     }
     return "?";
-}
-
-void
-ActivationLayer::forward(const Matrix &x, Matrix &y)
-{
-    y = x;
-    switch (_kind) {
-      case Activation::Identity:
-        break;
-      case Activation::ReLU:
-        cached = x;
-        numeric::kernels::active().reluForward(x.data(), y.data(),
-                                               y.size());
-        break;
-      case Activation::Tanh:
-        // Stays scalar: libm tanh has no lane-exact vector twin.
-        for (std::size_t i = 0; i < y.size(); ++i)
-            y.data()[i] = std::tanh(y.data()[i]);
-        cached = y;
-        break;
-    }
-}
-
-void
-ActivationLayer::backward(const Matrix &grad_y, Matrix &grad_x) const
-{
-    grad_x = grad_y;
-    switch (_kind) {
-      case Activation::Identity:
-        break;
-      case Activation::ReLU:
-        MARLIN_ASSERT(cached.size() == grad_y.size(),
-                      "ReLU backward without forward");
-        numeric::kernels::active().reluBackward(
-            cached.data(), grad_x.data(), grad_x.size());
-        break;
-      case Activation::Tanh:
-        MARLIN_ASSERT(cached.size() == grad_y.size(),
-                      "Tanh backward without forward");
-        for (std::size_t i = 0; i < grad_x.size(); ++i) {
-            const Real t = cached.data()[i];
-            grad_x.data()[i] *= (Real(1) - t * t);
-        }
-        break;
-    }
 }
 
 } // namespace marlin::nn

@@ -1,17 +1,17 @@
 /**
  * @file
- * Elementwise activation functions with cached backward state.
+ * The activation kinds an Mlp layer can apply. Mlp applies them
+ * itself: ReLU in the GEMM's epilogue, Tanh in place on the layer's
+ * output, and both take their backward from that output.
  */
 
 #ifndef MARLIN_NN_ACTIVATION_HH
 #define MARLIN_NN_ACTIVATION_HH
 
-#include "marlin/numeric/matrix.hh"
+#include <string>
 
 namespace marlin::nn
 {
-
-using numeric::Matrix;
 
 /** Supported activation kinds. */
 enum class Activation { Identity, ReLU, Tanh };
@@ -21,29 +21,6 @@ Activation activationFromString(const std::string &name);
 
 /** Printable name. */
 const char *activationName(Activation a);
-
-/**
- * Stateful activation: forward caches what backward needs (the
- * pre-activation sign for ReLU, the output for Tanh).
- */
-class ActivationLayer
-{
-  public:
-    explicit ActivationLayer(Activation kind = Activation::Identity)
-        : _kind(kind) {}
-
-    Activation kind() const { return _kind; }
-
-    /** y = f(x); caches backward state. */
-    void forward(const Matrix &x, Matrix &y);
-
-    /** grad_x = f'(cached) * grad_y. */
-    void backward(const Matrix &grad_y, Matrix &grad_x) const;
-
-  private:
-    Activation _kind;
-    Matrix cached; ///< Input for ReLU, output for Tanh.
-};
 
 } // namespace marlin::nn
 

@@ -41,7 +41,7 @@ checkMlpGradients(Mlp &net, const Matrix &x, const Matrix &target,
     Matrix pred = net.forward(x);
     Matrix dloss;
     mseLoss(pred, target, dloss);
-    net.backward(dloss);
+    net.backward(x, dloss);
 
     for (Param *p : net.params()) {
         for (std::size_t j = 0; j < p->value.size(); j += stride) {
@@ -70,7 +70,7 @@ checkInputGradients(Mlp &net, const Matrix &x, const Matrix &target,
     Matrix dloss;
     mseLoss(pred, target, dloss);
     Matrix dx;
-    net.backward(dloss, &dx);
+    net.backward(x, dloss, &dx);
 
     Matrix probe = x;
     for (std::size_t j = 0; j < probe.size(); j += stride) {

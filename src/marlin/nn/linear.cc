@@ -19,22 +19,21 @@ Linear::Linear(std::size_t in, std::size_t out, Rng &rng)
 }
 
 void
-Linear::forward(const Matrix &x, Matrix &y)
+Linear::forward(const Matrix &x, Matrix &y, bool relu) const
 {
     MARLIN_ASSERT(x.cols() == weight.value.rows(),
                   "linear input dimension mismatch");
-    cachedInput = x;
-    numeric::gemm(x, weight.value, y);
-    numeric::addRowBias(y, bias.value);
+    numeric::gemm(x, weight.value, y, &bias.value, relu);
 }
 
 void
-Linear::backwardParams(const Matrix &grad_y)
+Linear::backwardParams(const Matrix &x, const Matrix &grad_y)
 {
-    MARLIN_ASSERT(grad_y.rows() == cachedInput.rows(),
-                  "backward batch mismatch — missing forward()?");
+    MARLIN_ASSERT(x.cols() == inDim() && grad_y.rows() == x.rows() &&
+                      grad_y.cols() == outDim(),
+                  "linear backward shape mismatch");
     // dW += x^T dy ; db += sum_rows(dy)
-    numeric::gemmTN(cachedInput, grad_y, dwScratch);
+    numeric::gemmTN(x, grad_y, dwScratch);
     weight.grad += dwScratch;
     numeric::sumRowsInto(grad_y, dbScratch);
     bias.grad += dbScratch;

@@ -40,10 +40,9 @@ struct Param
 /**
  * y = x W + b, with W of shape (in, out) and b of shape (1, out).
  *
- * forward() caches the input so that a subsequent backwardParams()
- * can compute the weight gradient. The backward pass is split in
- * two, so a caller that discards dL/dW and dL/db, or dL/dx, never
- * computes them.
+ * The layer keeps no copy of its input: backwardParams() takes the
+ * x the forward read. The backward pass is split in two, so a caller
+ * that discards dL/dW and dL/db, or dL/dx, never computes them.
  */
 class Linear
 {
@@ -59,15 +58,18 @@ class Linear
     std::size_t inDim() const { return weight.value.rows(); }
     std::size_t outDim() const { return weight.value.cols(); }
 
-    /** Compute y = x W + b; caches x. */
-    void forward(const Matrix &x, Matrix &y);
+    /**
+     * y = x W + b, then y = max(y, 0) elementwise (keeping -0 and
+     * NaN) when @p relu. Both run in the GEMM's epilogue, so each
+     * element of y is written once.
+     */
+    void forward(const Matrix &x, Matrix &y, bool relu = false) const;
 
     /**
-     * Given dL/dy, accumulate dL/dW into weight.grad and dL/db into
-     * bias.grad.
-     * @pre forward() was called with the matching batch.
+     * Given the forward input @p x and dL/dy, accumulate dL/dW into
+     * weight.grad and dL/db into bias.grad.
      */
-    void backwardParams(const Matrix &grad_y);
+    void backwardParams(const Matrix &x, const Matrix &grad_y);
 
     /** Given dL/dy, produce dL/dx = dL/dy W^T. */
     void backwardInput(const Matrix &grad_y, Matrix &grad_x);
@@ -88,7 +90,6 @@ class Linear
     Param bias;   ///< (1, out)
 
   private:
-    Matrix cachedInput;
     // Persistent backward scratch (dL/dW, dL/db) so steady-state
     // backprop performs no heap allocations.
     Matrix dwScratch;

@@ -28,6 +28,12 @@ struct MlpConfig
 /**
  * Feed-forward network: Linear -> act -> ... -> Linear -> out-act.
  *
+ * Each layer writes its activation once: the GEMM adds the bias and
+ * applies a ReLU before its store, and a Tanh runs in place on that
+ * output. The network keeps no copy of its input or of any
+ * pre-activation. Backward takes the input from the caller and
+ * reads every activation derivative from the layer's output.
+ *
  * One backward() per forward(); gradients accumulate into each
  * layer's Param::grad until zeroGrad().
  */
@@ -41,7 +47,10 @@ class Mlp
 
     const MlpConfig &config() const { return _config; }
 
-    /** y = net(x). */
+    /**
+     * y = net(x). An Identity output layer writes y directly;
+     * otherwise y is a copy of the output backward reads.
+     */
     void forward(const Matrix &x, Matrix &y);
 
     /** Convenience: forward returning the output by value. */
@@ -51,8 +60,12 @@ class Mlp
      * Backpropagate dL/dy, accumulating parameter gradients;
      * optionally produce dL/dx. Without @p grad_x the first layer's
      * input gradient is never computed.
+     * @param x The input of the last forward(), which the first
+     *          layer's weight gradient reads: the same object,
+     *          unchanged since.
      */
-    void backward(const Matrix &grad_y, Matrix *grad_x = nullptr);
+    void backward(const Matrix &x, const Matrix &grad_y,
+                  Matrix *grad_x = nullptr);
 
     /**
      * Input gradient only, for chaining through a frozen network:
@@ -84,12 +97,26 @@ class Mlp
     void softUpdateFrom(const Mlp &src, Real tau);
 
   private:
+    /** Activation of layer @p i: hidden, or the output's. */
+    Activation activation(std::size_t i) const;
+
+    /** Layer @p i's activation of @p x, written into @p y. */
+    void layerForward(std::size_t i, const Matrix &x, Matrix &y) const;
+
+    /**
+     * dL/d(pre-activation) of layer @p i from dL/d(its output):
+     * @p grad_y itself for Identity, else dpre[i].
+     */
+    const Matrix &activationBackward(std::size_t i,
+                                     const Matrix &grad_y);
+
     MlpConfig _config;
     std::vector<Linear> layers;
-    std::vector<ActivationLayer> acts;
-    // Scratch activations to avoid per-call allocation.
-    std::vector<Matrix> preact;
+    // Each layer's output, the next layer's input; unused for an
+    // Identity output layer, which writes the caller's y.
     std::vector<Matrix> postact;
+    // The last forward()'s input, only to check backward()'s.
+    const Matrix *input = nullptr;
     // Backward scratch, one pair per layer: dL/d(pre-activation)
     // and dL/d(layer input). Persisting them makes a warm backward
     // pass allocation-free.

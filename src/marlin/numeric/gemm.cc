@@ -108,10 +108,15 @@ forRowChunks(std::size_t m, std::size_t k, std::size_t n,
 } // namespace
 
 void
-gemm(const Matrix &a, const Matrix &b, Matrix &c)
+gemm(const Matrix &a, const Matrix &b, Matrix &c, const Matrix *bias,
+     bool relu)
 {
     const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
     MARLIN_ASSERT(b.rows() == k, "gemm inner dimension mismatch");
+    MARLIN_ASSERT(bias == nullptr ||
+                      (bias->rows() == 1 && bias->cols() == n),
+                  "gemm bias shape mismatch");
+    MARLIN_ASSERT(&c != &a && &c != &b, "gemm output aliases an input");
     // The panel writes every element, so no zero fill.
     c.reshape(m, n);
     if (m == 0 || n == 0)
@@ -119,9 +124,10 @@ gemm(const Matrix &a, const Matrix &b, Matrix &c)
     // Forward inputs carry one-hot action blocks and ReLU zeros.
     const kernels::KernelTable &kt = kernels::active();
     const bool skip = skipZeros(kt, m, b);
+    const Real *bias_row = bias != nullptr ? bias->data() : nullptr;
     forRowChunks(m, k, n, [&](std::size_t i0, std::size_t i1) {
         kt.gemmPanel(a.row(i0), k, 1, b.data(), n, k, c.row(i0), n,
-                     i1 - i0, n, skip);
+                     i1 - i0, n, skip, bias_row, relu);
     });
 }
 
@@ -134,13 +140,13 @@ gemmTN(const Matrix &a, const Matrix &b, Matrix &c)
     if (m == 0 || n == 0)
         return;
     // C(m,n) = A(k,m)^T B(k,n): output row i takes its coefficients
-    // from column i of A, i.e. (row, k) strides (1, m). A is a cached
-    // forward input (ReLU activations, one-hot action blocks).
+    // from column i of A, i.e. (row, k) strides (1, m). A is a
+    // layer's forward input (ReLU activations, one-hot action blocks).
     const kernels::KernelTable &kt = kernels::active();
     const bool skip = skipZeros(kt, m, b);
     forRowChunks(m, k, n, [&](std::size_t i0, std::size_t i1) {
         kt.gemmPanel(a.data() + i0, 1, m, b.data(), n, k, c.row(i0), n,
-                     i1 - i0, n, skip);
+                     i1 - i0, n, skip, nullptr, false);
     });
 }
 
@@ -173,7 +179,7 @@ gemmNT(const Matrix &a, const Matrix &b, Matrix &c,
     const kernels::KernelTable &kt = kernels::active();
     forRowChunks(m, k, n, [&](std::size_t i0, std::size_t i1) {
         kt.gemmPanel(a.row(i0), k, 1, bt, n, k, c.row(i0), n, i1 - i0,
-                     n, false);
+                     n, false, nullptr, false);
     });
 }
 

@@ -66,18 +66,11 @@ clampScalar(Real lo, Real hi, Real *y, std::size_t n)
 }
 
 void
-reluForwardScalar(const Real *x, Real *y, std::size_t n)
+reluBackwardScalar(const Real *y, const Real *gy, Real *gx,
+                   std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
-        y[i] = (x[i] < Real(0)) ? Real(0) : x[i];
-}
-
-void
-reluBackwardScalar(const Real *pre, Real *g, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        if (pre[i] <= Real(0))
-            g[i] = Real(0);
+        gx[i] = (y[i] <= Real(0)) ? Real(0) : gy[i];
 }
 
 void
@@ -111,16 +104,17 @@ copyScalar(const Real *s, Real *d, std::size_t n)
 
 /**
  * The reference per-element chain: each c row starts at +0 and takes
- * one coefficient at a time in ascending t order. Whether a zero
- * coefficient is skipped or added cannot change a bit when b is
- * finite (see KernelTable::gemmPanel), so this twin honours
- * skip_zeros exactly as asked rather than second-guessing it.
+ * one coefficient at a time in ascending t order, then the epilogue
+ * runs over the finished row. Whether a zero coefficient is skipped
+ * or added cannot change a bit when b is finite (see
+ * KernelTable::gemmPanel), so this twin honours skip_zeros exactly
+ * as asked rather than second-guessing it.
  */
 void
 gemmPanelScalar(const Real *a, std::size_t a_row, std::size_t a_k,
                 const Real *b, std::size_t ldb, std::size_t k, Real *c,
                 std::size_t ldc, std::size_t m, std::size_t n,
-                bool skip_zeros)
+                bool skip_zeros, const Real *bias, bool relu)
 {
     for (std::size_t i = 0; i < m; ++i) {
         Real *crow = c + i * ldc;
@@ -134,14 +128,20 @@ gemmPanelScalar(const Real *a, std::size_t a_row, std::size_t a_k,
             for (std::size_t j = 0; j < n; ++j)
                 crow[j] += coef * brow[j];
         }
+        if (bias != nullptr)
+            for (std::size_t j = 0; j < n; ++j)
+                crow[j] += bias[j];
+        if (relu)
+            for (std::size_t j = 0; j < n; ++j)
+                crow[j] = (crow[j] < Real(0)) ? Real(0) : crow[j];
     }
 }
 
 constexpr KernelTable scalarTable = {
-    Isa::Scalar,     axpyScalar,       addScalar,
-    subScalar,       scaleScalar,      clampScalar,
-    reluForwardScalar, reluBackwardScalar, adamStepScalar,
-    softUpdateScalar, copyScalar,      gemmPanelScalar,
+    Isa::Scalar,      axpyScalar,         addScalar,
+    subScalar,        scaleScalar,        clampScalar,
+    reluBackwardScalar, adamStepScalar,   softUpdateScalar,
+    copyScalar,       gemmPanelScalar,
 };
 
 } // namespace
@@ -240,17 +240,11 @@ clampCounting(Real lo, Real hi, Real *y, std::size_t n)
 }
 
 void
-reluForwardCounting(const Real *x, Real *y, std::size_t n)
-{
-    MARLIN_KERNEL_COUNT("relu_forward", n);
-    real().reluForward(x, y, n);
-}
-
-void
-reluBackwardCounting(const Real *pre, Real *g, std::size_t n)
+reluBackwardCounting(const Real *y, const Real *gy, Real *gx,
+                     std::size_t n)
 {
     MARLIN_KERNEL_COUNT("relu_backward", n);
-    real().reluBackward(pre, g, n);
+    real().reluBackward(y, gy, gx, n);
 }
 
 void
@@ -279,21 +273,22 @@ void
 gemmPanelCounting(const Real *a, std::size_t a_row, std::size_t a_k,
                   const Real *b, std::size_t ldb, std::size_t k,
                   Real *c, std::size_t ldc, std::size_t m,
-                  std::size_t n, bool skip_zeros)
+                  std::size_t n, bool skip_zeros, const Real *bias,
+                  bool relu)
 {
     MARLIN_KERNEL_COUNT("gemm_panel", m * k * n);
     real().gemmPanel(a, a_row, a_k, b, ldb, k, c, ldc, m, n,
-                     skip_zeros);
+                     skip_zeros, bias, relu);
 }
 
 #undef MARLIN_KERNEL_COUNT
 
 /** isa mirrors the underlying table; rewritten on every install. */
 KernelTable countingTable = {
-    Isa::Scalar,        axpyCounting,        addCounting,
-    subCounting,        scaleCounting,       clampCounting,
-    reluForwardCounting, reluBackwardCounting, adamStepCounting,
-    softUpdateCounting, copyCounting,        gemmPanelCounting,
+    Isa::Scalar,        axpyCounting,         addCounting,
+    subCounting,        scaleCounting,        clampCounting,
+    reluBackwardCounting, adamStepCounting,   softUpdateCounting,
+    copyCounting,       gemmPanelCounting,
 };
 
 /** 0 = scalar, 1 = avx2; lets telemetry record the dispatch. */

@@ -83,11 +83,16 @@ struct KernelTable
     /** y[i] = (y[i] < lo) ? lo : (hi < y[i]) ? hi : y[i]. */
     void (*clamp)(Real lo, Real hi, Real *y, std::size_t n);
 
-    /** y[i] = (x[i] < 0) ? 0 : x[i]. Preserves NaN and -0. */
-    void (*reluForward)(const Real *x, Real *y, std::size_t n);
-
-    /** g[i] = (pre[i] <= 0) ? 0 : g[i]. */
-    void (*reluBackward)(const Real *pre, Real *g, std::size_t n);
+    /**
+     * ReLU backward, masked by the layer's output y = relu(pre):
+     *   gx[i] = (y[i] <= 0) ? 0 : gy[i].
+     * relu(pre) <= 0 holds exactly when pre <= 0 (-0 and -Inf map
+     * to ±0, NaN and +Inf pass through), so the mask equals the one
+     * taken from the pre-activation, and backward needs no copy of
+     * it. Out of place; gx may alias gy.
+     */
+    void (*reluBackward)(const Real *y, const Real *gy, Real *gx,
+                         std::size_t n);
 
     /**
      * One Adam step over a parameter block:
@@ -126,11 +131,20 @@ struct KernelTable
      * zero terms are added; since an accumulator that starts at +0
      * can never become -0, a skipped ±0 term changes no bit, so
      * callers drop the skip whenever b is all finite.
+     *
+     * The epilogue runs on each finished chain before its one store,
+     * in this order:
+     *   - bias non-null: v = chain + bias[j] (one add, chain first);
+     *   - relu: v = (v < 0) ? 0 : v, which keeps -0 and NaN.
+     * These are the separate bias-row add and ReLU pass a layer
+     * would otherwise run over c, in the same order, so fusing them
+     * changes no bit; it only saves writing c three times.
      */
     void (*gemmPanel)(const Real *a, std::size_t a_row,
                       std::size_t a_k, const Real *b, std::size_t ldb,
                       std::size_t k, Real *c, std::size_t ldc,
-                      std::size_t m, std::size_t n, bool skip_zeros);
+                      std::size_t m, std::size_t n, bool skip_zeros,
+                      const Real *bias, bool relu);
 };
 
 /**

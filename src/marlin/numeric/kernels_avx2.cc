@@ -110,33 +110,18 @@ clampAvx2(Real lo, Real hi, Real *y, std::size_t n)
 }
 
 void
-reluForwardAvx2(const Real *x, Real *y, std::size_t n)
+reluBackwardAvx2(const Real *y, const Real *gy, Real *gx, std::size_t n)
 {
     const __m256 zero = _mm256_setzero_ps();
     std::size_t i = 0;
     for (; i + lanes <= n; i += lanes) {
-        const __m256 vx = _mm256_loadu_ps(x + i);
-        const __m256 neg = _mm256_cmp_ps(vx, zero, _CMP_LT_OQ);
-        _mm256_storeu_ps(y + i, _mm256_andnot_ps(neg, vx));
+        const __m256 vy = _mm256_loadu_ps(y + i);
+        const __m256 vg = _mm256_loadu_ps(gy + i);
+        const __m256 dead = _mm256_cmp_ps(vy, zero, _CMP_LE_OQ);
+        _mm256_storeu_ps(gx + i, _mm256_andnot_ps(dead, vg));
     }
     for (; i < n; ++i)
-        y[i] = (x[i] < Real(0)) ? Real(0) : x[i];
-}
-
-void
-reluBackwardAvx2(const Real *pre, Real *g, std::size_t n)
-{
-    const __m256 zero = _mm256_setzero_ps();
-    std::size_t i = 0;
-    for (; i + lanes <= n; i += lanes) {
-        const __m256 vp = _mm256_loadu_ps(pre + i);
-        const __m256 vg = _mm256_loadu_ps(g + i);
-        const __m256 dead = _mm256_cmp_ps(vp, zero, _CMP_LE_OQ);
-        _mm256_storeu_ps(g + i, _mm256_andnot_ps(dead, vg));
-    }
-    for (; i < n; ++i)
-        if (pre[i] <= Real(0))
-            g[i] = Real(0);
+        gx[i] = (y[i] <= Real(0)) ? Real(0) : gy[i];
 }
 
 void
@@ -233,6 +218,11 @@ copyAvx2(const Real *s, Real *d, std::size_t n)
 // accumulator that started at +0 (so is never -0) leaves every bit
 // as it was, NaN payloads included. NaN coefficients compare
 // unordered and so stay live, as in the scalar `coef == 0` test.
+//
+// The epilogue (bias add, then ReLU) runs on the accumulators before
+// the store, lane for lane the scalar twin's `c + bias[j]` and
+// `(v < 0) ? 0 : v`: compare+andnot rather than vmaxps, which would
+// turn NaN and -0 into +0.
 
 /** Rows per full tile; 6 x 2 vectors keeps 12 accumulators live. */
 constexpr std::size_t panelRows = 6;
@@ -258,6 +248,19 @@ tailMask(std::size_t w)
                                                 7));
 }
 
+/** What runs on a finished tile before its store. */
+struct Epilogue
+{
+    const Real *bias; ///< Column j of the tile adds bias[j]; or null.
+    bool relu;
+
+    /** The epilogue of the columns starting at @p j. */
+    Epilogue at(std::size_t j) const
+    {
+        return {bias != nullptr ? bias + j : nullptr, relu};
+    }
+};
+
 /**
  * One MR x (8 * NV) tile of C over the full k range; with Tail, the
  * last vector covers only the lanes set in @p tail. The unroll
@@ -269,7 +272,7 @@ template <int MR, int NV, bool Skip, bool Tail>
 void
 panelTile(const Real *a, std::size_t a_row, std::size_t a_k,
           const Real *b, std::size_t ldb, std::size_t k, Real *c,
-          std::size_t ldc, __m256i tail)
+          std::size_t ldc, __m256i tail, Epilogue epi)
 {
     __m256 acc[MR][NV];
 #pragma GCC unroll 8
@@ -306,6 +309,31 @@ panelTile(const Real *a, std::size_t a_row, std::size_t a_k,
             }
         }
     }
+    if (epi.bias != nullptr) {
+        __m256 vbias[NV];
+#pragma GCC unroll 8
+        for (int v = 0; v < NV; ++v) {
+            vbias[v] = (Tail && v == NV - 1)
+                           ? _mm256_maskload_ps(epi.bias + v * lanes,
+                                                tail)
+                           : _mm256_loadu_ps(epi.bias + v * lanes);
+        }
+#pragma GCC unroll 8
+        for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 8
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = _mm256_add_ps(acc[r][v], vbias[v]);
+    }
+    if (epi.relu) {
+#pragma GCC unroll 8
+        for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 8
+            for (int v = 0; v < NV; ++v) {
+                const __m256 neg =
+                    _mm256_cmp_ps(acc[r][v], zero, _CMP_LT_OQ);
+                acc[r][v] = _mm256_andnot_ps(neg, acc[r][v]);
+            }
+    }
 #pragma GCC unroll 8
     for (int r = 0; r < MR; ++r) {
         Real *crow = c + r * ldc;
@@ -324,21 +352,23 @@ template <int MR, int NV, bool Skip>
 void
 panelTail(const Real *a, std::size_t a_row, std::size_t a_k,
           const Real *b, std::size_t ldb, std::size_t k, Real *c,
-          std::size_t ldc, std::size_t w)
+          std::size_t ldc, std::size_t w, Epilogue epi)
 {
     if constexpr (NV > 1) {
         if (w <= (NV - 1) * lanes) {
             panelTail<MR, NV - 1, Skip>(a, a_row, a_k, b, ldb, k, c,
-                                        ldc, w);
+                                        ldc, w, epi);
             return;
         }
     }
     if (w == NV * lanes) {
         panelTile<MR, NV, Skip, false>(a, a_row, a_k, b, ldb, k, c,
-                                       ldc, _mm256_setzero_si256());
+                                       ldc, _mm256_setzero_si256(),
+                                       epi);
     } else {
         panelTile<MR, NV, Skip, true>(a, a_row, a_k, b, ldb, k, c, ldc,
-                                      tailMask(w - (NV - 1) * lanes));
+                                      tailMask(w - (NV - 1) * lanes),
+                                      epi);
     }
 }
 
@@ -347,7 +377,7 @@ template <int MR, bool Skip>
 void
 panelStrip(const Real *a, std::size_t a_row, std::size_t a_k,
            const Real *b, std::size_t ldb, std::size_t k, Real *c,
-           std::size_t ldc, std::size_t n)
+           std::size_t ldc, std::size_t n, Epilogue epi)
 {
     constexpr int nv = panelVectors<MR>();
     constexpr std::size_t width = nv * lanes;
@@ -355,11 +385,12 @@ panelStrip(const Real *a, std::size_t a_row, std::size_t a_k,
     for (; j + width <= n; j += width) {
         panelTile<MR, nv, Skip, false>(a, a_row, a_k, b + j, ldb, k,
                                        c + j, ldc,
-                                       _mm256_setzero_si256());
+                                       _mm256_setzero_si256(),
+                                       epi.at(j));
     }
     if (j < n) {
         panelTail<MR, nv, Skip>(a, a_row, a_k, b + j, ldb, k, c + j,
-                                ldc, n - j);
+                                ldc, n - j, epi.at(j));
     }
 }
 
@@ -367,30 +398,30 @@ template <bool Skip>
 void
 panel(const Real *a, std::size_t a_row, std::size_t a_k, const Real *b,
       std::size_t ldb, std::size_t k, Real *c, std::size_t ldc,
-      std::size_t m, std::size_t n)
+      std::size_t m, std::size_t n, Epilogue epi)
 {
     std::size_t i = 0;
     for (; i + panelRows <= m; i += panelRows) {
         panelStrip<panelRows, Skip>(a + i * a_row, a_row, a_k, b, ldb,
-                                    k, c + i * ldc, ldc, n);
+                                    k, c + i * ldc, ldc, n, epi);
     }
     const Real *ar = a + i * a_row;
     Real *cr = c + i * ldc;
     switch (m - i) {
     case 1:
-        panelStrip<1, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n);
+        panelStrip<1, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n, epi);
         break;
     case 2:
-        panelStrip<2, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n);
+        panelStrip<2, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n, epi);
         break;
     case 3:
-        panelStrip<3, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n);
+        panelStrip<3, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n, epi);
         break;
     case 4:
-        panelStrip<4, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n);
+        panelStrip<4, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n, epi);
         break;
     case 5:
-        panelStrip<5, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n);
+        panelStrip<5, Skip>(ar, a_row, a_k, b, ldb, k, cr, ldc, n, epi);
         break;
     default:
         break;
@@ -401,19 +432,20 @@ void
 gemmPanelAvx2(const Real *a, std::size_t a_row, std::size_t a_k,
               const Real *b, std::size_t ldb, std::size_t k, Real *c,
               std::size_t ldc, std::size_t m, std::size_t n,
-              bool skip_zeros)
+              bool skip_zeros, const Real *bias, bool relu)
 {
+    const Epilogue epi{bias, relu};
     if (skip_zeros)
-        panel<true>(a, a_row, a_k, b, ldb, k, c, ldc, m, n);
+        panel<true>(a, a_row, a_k, b, ldb, k, c, ldc, m, n, epi);
     else
-        panel<false>(a, a_row, a_k, b, ldb, k, c, ldc, m, n);
+        panel<false>(a, a_row, a_k, b, ldb, k, c, ldc, m, n, epi);
 }
 
 constexpr KernelTable avx2TableInstance = {
-    Isa::Avx2,       axpyAvx2,       addAvx2,
-    subAvx2,         scaleAvx2,      clampAvx2,
-    reluForwardAvx2, reluBackwardAvx2, adamStepAvx2,
-    softUpdateAvx2,  copyAvx2,       gemmPanelAvx2,
+    Isa::Avx2,        axpyAvx2,       addAvx2,
+    subAvx2,          scaleAvx2,      clampAvx2,
+    reluBackwardAvx2, adamStepAvx2,   softUpdateAvx2,
+    copyAvx2,         gemmPanelAvx2,
 };
 
 } // namespace

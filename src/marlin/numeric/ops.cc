@@ -33,17 +33,6 @@ scale(const Matrix &a, Real factor)
     return out;
 }
 
-void
-addRowBias(Matrix &m, const Matrix &bias)
-{
-    MARLIN_ASSERT(bias.rows() == 1 && bias.cols() == m.cols(),
-                  "bias shape mismatch");
-    const kernels::KernelTable &kt = kernels::active();
-    const Real *b = bias.row(0);
-    for (std::size_t r = 0; r < m.rows(); ++r)
-        kt.add(b, m.row(r), m.cols());
-}
-
 Matrix
 sumRows(const Matrix &m)
 {
@@ -82,16 +71,6 @@ sum(const Matrix &m)
     for (std::size_t i = 0; i < m.size(); ++i)
         acc += d[i];
     return static_cast<Real>(acc);
-}
-
-Real
-maxAbs(const Matrix &m)
-{
-    Real best = 0;
-    const Real *d = m.data();
-    for (std::size_t i = 0; i < m.size(); ++i)
-        best = std::max(best, std::abs(d[i]));
-    return best;
 }
 
 bool
@@ -184,17 +163,6 @@ argmaxRows(const Matrix &m)
 }
 
 Matrix
-oneHot(const std::vector<std::size_t> &indices, std::size_t classes)
-{
-    Matrix out(indices.size(), classes);
-    for (std::size_t r = 0; r < indices.size(); ++r) {
-        MARLIN_ASSERT(indices[r] < classes, "one-hot index out of range");
-        out(r, indices[r]) = Real(1);
-    }
-    return out;
-}
-
-Matrix
 hconcat(const std::vector<const Matrix *> &parts)
 {
     Matrix out;
@@ -229,14 +197,6 @@ fillUniform(Matrix &m, Rng &rng, Real lo, Real hi)
     Real *d = m.data();
     for (std::size_t i = 0; i < m.size(); ++i)
         d[i] = lo + (hi - lo) * rng.uniformf();
-}
-
-void
-fillGaussian(Matrix &m, Rng &rng, Real sigma)
-{
-    Real *d = m.data();
-    for (std::size_t i = 0; i < m.size(); ++i)
-        d[i] = static_cast<Real>(rng.gaussian(0.0, sigma));
 }
 
 void

@@ -25,9 +25,6 @@ Matrix sub(const Matrix &a, const Matrix &b);
 /** out = a * scale. */
 Matrix scale(const Matrix &a, Real factor);
 
-/** Add row-vector @p bias (1 x cols) to every row of @p m in place. */
-void addRowBias(Matrix &m, const Matrix &bias);
-
 /** Sum of rows -> 1 x cols matrix (bias gradient reduction). */
 Matrix sumRows(const Matrix &m);
 
@@ -42,9 +39,6 @@ Real mean(const Matrix &m);
 
 /** Sum of all elements. */
 Real sum(const Matrix &m);
-
-/** Max |element|. */
-Real maxAbs(const Matrix &m);
 
 /** True if any element is NaN or infinite. */
 bool hasNonFinite(const Matrix &m);
@@ -80,10 +74,6 @@ std::size_t gumbelArgmaxRow(const Matrix &logits, std::size_t row,
 /** Per-row argmax indices. */
 std::vector<std::size_t> argmaxRows(const Matrix &m);
 
-/** Build a rows x classes one-hot matrix from indices. */
-Matrix oneHot(const std::vector<std::size_t> &indices,
-              std::size_t classes);
-
 /**
  * Horizontal concatenation: out = [a | b | ...]. All inputs must
  * share a row count. Used to build joint observation-action inputs
@@ -100,9 +90,6 @@ void hconcatInto(const std::vector<const Matrix *> &parts,
 
 /** Fill @p m with uniform values in [lo, hi). */
 void fillUniform(Matrix &m, Rng &rng, Real lo, Real hi);
-
-/** Fill @p m with N(0, sigma) noise. */
-void fillGaussian(Matrix &m, Rng &rng, Real sigma);
 
 /** Elementwise clamp in place. */
 void clampInPlace(Matrix &m, Real lo, Real hi);

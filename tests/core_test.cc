@@ -381,11 +381,15 @@ TEST(TrainLoop, CallbackInvokedPerEpisode)
 /**
  * Run a short training session with the global pool at @p threads
  * and return the full serialized trainer state (weights, targets,
- * Adam moments) for bit-exact comparison.
+ * Adam moments) for bit-exact comparison. Continuous mode runs the
+ * actors' Tanh outputs; a batch that is not a multiple of the AVX2
+ * panel's 6-row tile runs its remainder tiles.
  */
 template <typename TrainerT>
 std::string
-trainSerialized(std::size_t threads)
+trainSerialized(std::size_t threads,
+                ActionMode mode = ActionMode::Discrete,
+                std::size_t batch = 64)
 {
     base::ThreadPool::setGlobalThreads(threads);
     auto environment = env::makePredatorPreyEnv(3, 77);
@@ -396,12 +400,15 @@ trainSerialized(std::size_t threads)
     // Big enough batch and hidden layers that the GEMMs cross the
     // parallel FLOP threshold, so this exercises pool-partitioned
     // kernels inside pool-parallel agent updates (nested dispatch).
-    config.batchSize = 64;
+    config.batchSize = batch;
     config.warmupTransitions = 64;
     config.hiddenDims = {64, 64};
     config.updateEvery = 20;
-    TrainerT trainer(dims, environment->actionDim(), config,
-                     uniformFactory());
+    config.actionMode = mode;
+    const std::size_t act_dim = mode == ActionMode::Continuous
+                                    ? 2
+                                    : environment->actionDim();
+    TrainerT trainer(dims, act_dim, config, uniformFactory());
     TrainLoop loop(*environment, trainer, config);
     loop.run(4);
     std::ostringstream os;
@@ -437,7 +444,8 @@ TEST(Determinism, Matd3WeightsBitIdenticalAcrossThreadCounts)
  */
 template <typename TrainerT>
 void
-expectBitIdenticalAcrossIsas()
+expectBitIdenticalAcrossIsas(ActionMode mode = ActionMode::Discrete,
+                             std::size_t batch = 64)
 {
     using numeric::kernels::Isa;
     if (!numeric::kernels::isaAvailable(Isa::Avx2))
@@ -445,11 +453,11 @@ expectBitIdenticalAcrossIsas()
     std::string scalar, avx2;
     {
         numeric::kernels::ScopedIsa pin(Isa::Scalar);
-        scalar = trainSerialized<TrainerT>(1);
+        scalar = trainSerialized<TrainerT>(1, mode, batch);
     }
     {
         numeric::kernels::ScopedIsa pin(Isa::Avx2);
-        avx2 = trainSerialized<TrainerT>(4);
+        avx2 = trainSerialized<TrainerT>(4, mode, batch);
     }
     ASSERT_EQ(scalar.size(), avx2.size());
     EXPECT_TRUE(scalar == avx2)
@@ -464,6 +472,29 @@ TEST(Determinism, MaddpgWeightsBitIdenticalAcrossIsas)
 TEST(Determinism, Matd3WeightsBitIdenticalAcrossIsas)
 {
     expectBitIdenticalAcrossIsas<Matd3Trainer>();
+}
+
+TEST(Determinism, MaddpgContinuousWeightsBitIdenticalAcrossIsas)
+{
+    expectBitIdenticalAcrossIsas<MaddpgTrainer>(ActionMode::Continuous);
+}
+
+TEST(Determinism, Matd3ContinuousWeightsBitIdenticalAcrossIsas)
+{
+    expectBitIdenticalAcrossIsas<Matd3Trainer>(ActionMode::Continuous);
+}
+
+TEST(Determinism, MaddpgWeightsBitIdenticalAcrossIsasAtBatch61)
+{
+    // 61 rows: ten 6-row tiles and a 1-row remainder per panel.
+    expectBitIdenticalAcrossIsas<MaddpgTrainer>(ActionMode::Discrete,
+                                                61);
+}
+
+TEST(Determinism, Matd3ContinuousWeightsBitIdenticalAcrossIsasAtBatch61)
+{
+    expectBitIdenticalAcrossIsas<Matd3Trainer>(ActionMode::Continuous,
+                                               61);
 }
 
 } // namespace

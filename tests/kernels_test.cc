@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "marlin/base/random.hh"
@@ -192,35 +193,24 @@ TEST(Kernels, ClampParitySpecialValues)
 
 TEST(Kernels, ReluForwardParitySpecialValues)
 {
+    // The forward ReLU lives in the GEMM panel's epilogue. A 1-deep
+    // product with unit coefficients hands it b + bias for special
+    // values of both, on every column tail; the ISAs must agree.
     SKIP_WITHOUT_AVX2();
     for (std::size_t n : kEdgeSizes) {
-        expectIsaParity(n, 14, [n](const KernelTable &kt, Rng &) {
-            auto x = specialVec(n);
-            std::vector<Real> y(n, Real(7));
-            kt.reluForward(x.data(), y.data(), n);
-            return y;
-        });
-    }
-}
-
-TEST(Kernels, ReluForwardKeepsNegativeZero)
-{
-    // The reference branch `x < 0 ? 0 : x` passes -0.0 through
-    // unchanged; vmaxps(x, 0) would return +0.0 instead, which is
-    // why the AVX2 kernel uses compare+andnot. Every ISA must keep
-    // the sign bit the branch keeps.
-    const std::vector<Real> x = {Real(-0.0), Real(0.0), Real(-1),
-                                 Real(2)};
-    for (Isa isa : {Isa::Scalar, Isa::Avx2}) {
-        if (!kernels::isaAvailable(isa))
-            continue;
-        kernels::ScopedIsa pin(isa);
-        std::vector<Real> y(x.size());
-        kernels::active().reluForward(x.data(), y.data(), x.size());
-        EXPECT_TRUE(std::signbit(y[0])) << kernels::isaName(isa);
-        EXPECT_FALSE(std::signbit(y[1])) << kernels::isaName(isa);
-        EXPECT_EQ(y[2], Real(0)) << kernels::isaName(isa);
-        EXPECT_EQ(y[3], Real(2)) << kernels::isaName(isa);
+        for (std::size_t m : {std::size_t(1), std::size_t(4),
+                              std::size_t(7)}) {
+            expectIsaParity(n, 14, [m, n](const KernelTable &kt, Rng &) {
+                const std::vector<Real> a(m, Real(1));
+                const auto b = specialVec(n);
+                auto bias = specialVec(n + 3);
+                bias.erase(bias.begin(), bias.begin() + 3);
+                std::vector<Real> c(m * n, Real(7));
+                kt.gemmPanel(a.data(), 1, 1, b.data(), n, 1, c.data(), n,
+                             m, n, true, bias.data(), true);
+                return c;
+            });
+        }
     }
 }
 
@@ -229,11 +219,51 @@ TEST(Kernels, ReluBackwardParitySpecialValues)
     SKIP_WITHOUT_AVX2();
     for (std::size_t n : kEdgeSizes) {
         expectIsaParity(n, 15, [n](const KernelTable &kt, Rng &rng) {
-            auto pre = specialVec(n);
-            auto g = randomVec(n, rng);
-            kt.reluBackward(pre.data(), g.data(), n);
-            return g;
+            auto y = specialVec(n);
+            auto gy = randomVec(n, rng);
+            std::vector<Real> gx(n, Real(7));
+            kt.reluBackward(y.data(), gy.data(), gx.data(), n);
+            return gx;
         });
+    }
+}
+
+TEST(Kernels, ReluBackwardOutputMaskMatchesPreActivationMask)
+{
+    // Backward masks by the layer's output y = relu(pre). That must
+    // zero exactly the gradients the mask on pre zeroed:
+    // g = (pre <= 0) ? 0 : g, for -0, +0, denormals, NaN and ±Inf.
+    const Real pool[] = {Real(-0.0),
+                         Real(0.0),
+                         std::numeric_limits<Real>::denorm_min(),
+                         -std::numeric_limits<Real>::denorm_min(),
+                         std::numeric_limits<Real>::quiet_NaN(),
+                         std::numeric_limits<Real>::infinity(),
+                         -std::numeric_limits<Real>::infinity(),
+                         Real(1),
+                         Real(-1)};
+    const std::size_t kinds = sizeof(pool) / sizeof(pool[0]);
+    for (Isa isa : {Isa::Scalar, Isa::Avx2}) {
+        if (!kernels::isaAvailable(isa))
+            continue;
+        kernels::ScopedIsa pin(isa);
+        for (std::size_t n : kEdgeSizes) {
+            Rng rng(n + 31);
+            std::vector<Real> pre(n), y(n), gy = randomVec(n, rng);
+            for (std::size_t i = 0; i < n; ++i) {
+                pre[i] = pool[(i + n) % kinds];
+                y[i] = (pre[i] < Real(0)) ? Real(0) : pre[i];
+            }
+            std::vector<Real> expected = gy;
+            for (std::size_t i = 0; i < n; ++i)
+                if (pre[i] <= Real(0))
+                    expected[i] = Real(0);
+            std::vector<Real> gx(n, Real(7));
+            kernels::active().reluBackward(y.data(), gy.data(),
+                                           gx.data(), n);
+            EXPECT_TRUE(bitEqual(gx, expected))
+                << kernels::isaName(isa) << " n=" << n;
+        }
     }
 }
 
@@ -634,6 +664,86 @@ TEST(Kernels, GemmNTMatchesNaiveNonSkippingLoop)
                         << kernels::isaName(isa) << " " << m << "x" << k
                         << "x" << n;
                 }
+    }
+}
+
+/**
+ * @p chain after the epilogue, in the order a layer used to run it
+ * as separate passes over C: v + bias[j], then (v < 0) ? 0 : v.
+ */
+Matrix
+naiveEpilogue(Matrix chain, const Matrix *bias, bool relu)
+{
+    for (std::size_t i = 0; i < chain.rows(); ++i) {
+        for (std::size_t j = 0; j < chain.cols(); ++j) {
+            Real v = chain(i, j);
+            if (bias != nullptr)
+                v = v + (*bias)(0, j);
+            if (relu)
+                v = (v < Real(0)) ? Real(0) : v;
+            chain(i, j) = v;
+        }
+    }
+    return chain;
+}
+
+/**
+ * A 1 x n bias row of +0, -0, NaN, +Inf, -Inf and ordinary values.
+ * Every seventh column from the sixth holds minus row 0's chain, so
+ * that sum cancels to exactly 0 (and a -0 bias on a +0 chain rounds
+ * to +0): the ReLU must then pass +0.
+ */
+Matrix
+specialBias(const Matrix &chain, Rng &rng)
+{
+    const Real pool[] = {Real(0.0), Real(-0.0),
+                         std::numeric_limits<Real>::quiet_NaN(),
+                         std::numeric_limits<Real>::infinity(),
+                         -std::numeric_limits<Real>::infinity()};
+    Matrix bias(1, chain.cols());
+    for (std::size_t j = 0; j < chain.cols(); ++j) {
+        if (j % 7 < 5)
+            bias(0, j) = pool[j % 7];
+        else if (j % 7 == 5 && chain.rows() > 0)
+            bias(0, j) = -chain(0, j);
+        else
+            bias(0, j) = Real(2) * rng.uniformf() - Real(1);
+    }
+    return bias;
+}
+
+TEST(Kernels, GemmEpilogueMatchesNaiveLoop)
+{
+    // A forward layer's bias and ReLU run on the finished chain,
+    // before its one store; on every ISA, for every row remainder
+    // and column tail, with and without poisoned rows of B behind
+    // zero coefficients.
+    for (Isa isa : availableIsas()) {
+        kernels::ScopedIsa pin(isa);
+        for (std::size_t m : kNaiveRows)
+            for (std::size_t k : kNaiveDepths)
+                for (std::size_t n : naiveWidths())
+                    for (bool poison : {false, true}) {
+                        Rng rng(m * 1000 + k * 100 + n + 17);
+                        const Matrix a = sparseCoefficients(m, k, rng);
+                        const Matrix b = denseValues(k, n, rng, poison);
+                        const Matrix chain = naiveProduct(a, b, true);
+                        const Matrix bias = specialBias(chain, rng);
+                        // (nullptr, false) is GemmMatchesNaiveSkippingLoop.
+                        const std::pair<const Matrix *, bool> epilogues[] = {
+                            {&bias, false}, {&bias, true}, {nullptr, true}};
+                        for (const auto &[bp, relu] : epilogues) {
+                            Matrix c = staleOutput(m, n);
+                            gemm(a, b, c, bp, relu);
+                            EXPECT_TRUE(bitEqual(
+                                c, naiveEpilogue(chain, bp, relu)))
+                                << kernels::isaName(isa) << " " << m
+                                << "x" << k << "x" << n
+                                << " poison=" << poison
+                                << " bias=" << (bp != nullptr)
+                                << " relu=" << relu;
+                        }
+                    }
     }
 }
 

@@ -8,11 +8,14 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "marlin/nn/adam.hh"
 #include "marlin/nn/grad_check.hh"
 #include "marlin/nn/loss.hh"
 #include "marlin/nn/mlp.hh"
+#include "marlin/numeric/gemm.hh"
 #include "marlin/numeric/kernels.hh"
 #include "marlin/numeric/ops.hh"
 
@@ -45,7 +48,7 @@ TEST(Linear, BackwardShapes)
     fillUniform(x, rng, -1, 1);
     fillUniform(gy, rng, -1, 1);
     lin.forward(x, y);
-    lin.backwardParams(gy);
+    lin.backwardParams(x, gy);
     lin.backwardInput(gy, gx);
     EXPECT_EQ(gx.rows(), 5u);
     EXPECT_EQ(gx.cols(), 4u);
@@ -64,16 +67,38 @@ TEST(Linear, InitializationBounds)
     }
 }
 
+/**
+ * One n -> n layer with weights I and bias 0, so the network's
+ * output is its activation of the input.
+ */
+Mlp
+activationOnly(std::size_t n, Activation act)
+{
+    Rng rng(4);
+    MlpConfig c;
+    c.inputDim = n;
+    c.hiddenDims = {};
+    c.outputDim = n;
+    c.outputActivation = act;
+    Mlp net(c, rng);
+    Matrix &w = net.params()[0]->value;
+    w.zero();
+    for (std::size_t i = 0; i < n; ++i)
+        w(i, i) = Real(1);
+    net.params()[1]->value.zero();
+    return net;
+}
+
 TEST(Activation, ReluForwardBackward)
 {
-    ActivationLayer relu(Activation::ReLU);
+    Mlp relu = activationOnly(3, Activation::ReLU);
     Matrix x{{-1, 0, 2}};
     Matrix y;
     relu.forward(x, y);
     EXPECT_EQ(y(0, 0), Real(0));
     EXPECT_EQ(y(0, 2), Real(2));
     Matrix gy{{1, 1, 1}}, gx;
-    relu.backward(gy, gx);
+    relu.backward(x, gy, &gx);
     EXPECT_EQ(gx(0, 0), Real(0));
     EXPECT_EQ(gx(0, 1), Real(0)); // relu'(0) = 0 by convention
     EXPECT_EQ(gx(0, 2), Real(1));
@@ -81,14 +106,14 @@ TEST(Activation, ReluForwardBackward)
 
 TEST(Activation, TanhForwardBackward)
 {
-    ActivationLayer t(Activation::Tanh);
+    Mlp t = activationOnly(2, Activation::Tanh);
     Matrix x{{0, 1}};
     Matrix y;
     t.forward(x, y);
     EXPECT_NEAR(y(0, 0), 0.0, 1e-6);
     EXPECT_NEAR(y(0, 1), std::tanh(1.0), 1e-6);
     Matrix gy{{1, 1}}, gx;
-    t.backward(gy, gx);
+    t.backward(x, gy, &gx);
     EXPECT_NEAR(gx(0, 0), 1.0, 1e-6); // 1 - tanh(0)^2
     const double th = std::tanh(1.0);
     EXPECT_NEAR(gx(0, 1), 1.0 - th * th, 1e-5);
@@ -217,7 +242,7 @@ TEST(Mlp, GradientsAccumulateAcrossBackwards)
         Matrix pred = net.forward(x);
         Matrix g;
         mseLoss(pred, target, g);
-        net.backward(g);
+        net.backward(x, g);
     };
 
     net.zeroGrad();
@@ -253,7 +278,7 @@ TEST(Mlp, BackwardInputSlicesMatchFullBackwardColumns)
         fillUniform(gy, rng, -1, 1);
         Matrix y, full;
         net.forward(x, y);
-        net.backward(gy, &full);
+        net.backward(x, gy, &full);
         net.zeroGrad();
 
         for (const auto &[c0, c1] : slices) {
@@ -272,6 +297,177 @@ TEST(Mlp, BackwardInputSlicesMatchFullBackwardColumns)
             for (std::size_t k = 0; k < p->grad.size(); ++k)
                 ASSERT_EQ(p->grad.data()[k], Real(0))
                     << "backwardInput touched a parameter gradient";
+    }
+}
+
+/**
+ * The layer-by-layer path an Mlp ran before its GEMM applied the
+ * bias and the ReLU, kept here as the oracle for the fused one. Per
+ * layer it copies the input, runs the GEMM, adds the bias row by
+ * row and keeps the pre-activation; the activation then copies it
+ * and applies itself in place. Backward copies dL/dy before masking
+ * it by the pre-activation.
+ */
+class CopyingReference
+{
+  public:
+    explicit CopyingReference(const Mlp &net)
+        : config(net.config()), params(net.params())
+    {
+        for (const Param *p : params)
+            grads.emplace_back(p->value.rows(), p->value.cols());
+    }
+
+    void
+    forward(const Matrix &x, Matrix &y)
+    {
+        const std::size_t layers = params.size() / 2;
+        inputs.assign(layers, Matrix());
+        pre.assign(layers, Matrix());
+        post.assign(layers, Matrix());
+        Matrix cur = x;
+        for (std::size_t l = 0; l < layers; ++l) {
+            inputs[l] = cur;
+            numeric::gemm(cur, weight(l), pre[l]);
+            const Matrix &b = bias(l);
+            for (std::size_t r = 0; r < pre[l].rows(); ++r)
+                for (std::size_t j = 0; j < pre[l].cols(); ++j)
+                    pre[l](r, j) += b(0, j);
+            post[l] = pre[l];
+            Real *v = post[l].data();
+            for (std::size_t i = 0; i < post[l].size(); ++i) {
+                if (activation(l) == Activation::ReLU)
+                    v[i] = (v[i] < Real(0)) ? Real(0) : v[i];
+                else if (activation(l) == Activation::Tanh)
+                    v[i] = std::tanh(v[i]);
+            }
+            cur = post[l];
+        }
+        y = cur;
+    }
+
+    /** Accumulates into grads (weight, bias per layer). */
+    void
+    backward(const Matrix &grad_y, Matrix *grad_x)
+    {
+        Matrix g = grad_y;
+        std::vector<Real> pack;
+        for (std::size_t l = params.size() / 2; l-- > 0;) {
+            Matrix d = g;
+            for (std::size_t i = 0; i < d.size(); ++i) {
+                if (activation(l) == Activation::ReLU) {
+                    if (pre[l].data()[i] <= Real(0))
+                        d.data()[i] = Real(0);
+                } else if (activation(l) == Activation::Tanh) {
+                    const Real t = post[l].data()[i];
+                    d.data()[i] *= (Real(1) - t * t);
+                }
+            }
+            Matrix dw;
+            numeric::gemmTN(inputs[l], d, dw);
+            grads[2 * l] += dw;
+            grads[2 * l + 1] += numeric::sumRows(d);
+            if (l > 0)
+                numeric::gemmNT(d, weight(l), g, pack);
+            else if (grad_x != nullptr)
+                numeric::gemmNT(d, weight(l), *grad_x, pack);
+        }
+    }
+
+    std::vector<Matrix> grads;
+
+  private:
+    const Matrix &weight(std::size_t l) { return params[2 * l]->value; }
+    const Matrix &bias(std::size_t l) { return params[2 * l + 1]->value; }
+
+    Activation
+    activation(std::size_t l) const
+    {
+        return 2 * (l + 1) < params.size() ? config.hiddenActivation
+                                           : config.outputActivation;
+    }
+
+    MlpConfig config;
+    std::vector<const Param *> params;
+    std::vector<Matrix> inputs, pre, post;
+};
+
+bool
+bitEqual(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           (a.size() == 0 ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(Real)) ==
+                0);
+}
+
+TEST(Mlp, FusedLayersMatchCopyingReferenceBitForBit)
+{
+    // Actor-, continuous-actor- and critic-shaped networks at the
+    // paper's 64-wide hidden layers; batch sizes cover one-row
+    // selection, remainder tiles (5, 61) and full mini-batches.
+    struct Shape
+    {
+        std::size_t in, out;
+        Activation hidden, output;
+    };
+    const Shape shapes[] = {
+        {18, 5, Activation::ReLU, Activation::Identity},
+        {18, 2, Activation::ReLU, Activation::Tanh},
+        {69, 1, Activation::ReLU, Activation::Identity},
+        {7, 3, Activation::Tanh, Activation::Identity}};
+    for (auto isa : {numeric::kernels::Isa::Scalar,
+                     numeric::kernels::Isa::Avx2}) {
+        if (!numeric::kernels::isaAvailable(isa))
+            continue;
+        numeric::kernels::ScopedIsa pin(isa);
+        for (const Shape &shape : shapes) {
+            for (std::size_t batch : {1, 5, 61, 1024}) {
+                Rng rng(shape.in * 7 + batch);
+                MlpConfig config;
+                config.inputDim = shape.in;
+                config.hiddenDims = {64, 64};
+                config.outputDim = shape.out;
+                config.hiddenActivation = shape.hidden;
+                config.outputActivation = shape.output;
+                Mlp net(config, rng);
+                CopyingReference ref(net);
+                Matrix x(batch, shape.in), gy(batch, shape.out);
+                fillUniform(x, rng, -1, 1);
+                fillUniform(gy, rng, -1, 1);
+                const std::string where =
+                    std::string(numeric::kernels::isaName(isa)) + " " +
+                    std::to_string(shape.in) + "->" +
+                    std::to_string(shape.out) + " " +
+                    activationName(shape.output) + " batch " +
+                    std::to_string(batch);
+
+                Matrix y, y_ref;
+                net.forward(x, y);
+                ref.forward(x, y_ref);
+                EXPECT_TRUE(bitEqual(y, y_ref)) << where;
+
+                net.zeroGrad();
+                Matrix gx, gx_ref;
+                net.backward(x, gy, &gx);
+                ref.backward(gy, &gx_ref);
+                EXPECT_TRUE(bitEqual(gx, gx_ref)) << where;
+                const std::vector<const Param *> params =
+                    std::as_const(net).params();
+                for (std::size_t p = 0; p < params.size(); ++p)
+                    EXPECT_TRUE(bitEqual(params[p]->grad, ref.grads[p]))
+                        << where << " param " << p;
+
+                const std::size_t c0 = shape.in / 3;
+                Matrix slice;
+                net.backwardInput(gy, c0, shape.in, slice);
+                for (std::size_t r = 0; r < batch; ++r)
+                    ASSERT_EQ(std::memcmp(slice.row(r), gx_ref.row(r) + c0,
+                                          (shape.in - c0) * sizeof(Real)),
+                              0)
+                        << where << " backwardInput row " << r;
+            }
+        }
     }
 }
 
@@ -442,7 +638,7 @@ TEST(Mlp, TrainsToFitSmallRegression)
         Matrix pred = net.forward(x);
         Matrix g;
         loss = mseLoss(pred, y, g);
-        net.backward(g);
+        net.backward(x, g);
         opt.step();
     }
     EXPECT_LT(loss, 1e-3);

@@ -272,7 +272,7 @@ TEST_P(DescentShapes, AdamStepReducesLossFromFreshInit)
     numeric::Matrix pred = net.forward(x);
     numeric::Matrix g;
     const Real before = nn::mseLoss(pred, y, g);
-    net.backward(g);
+    net.backward(x, g);
     opt.step();
     numeric::Matrix g2;
     const Real after = nn::mseLoss(net.forward(x), y, g2);

@@ -155,7 +155,7 @@ TEST(NnSerialize, AdamRoundTripResumesIdentically)
         numeric::Matrix pred = net.forward(x);
         numeric::Matrix g;
         nn::mseLoss(pred, y, g);
-        net.backward(g);
+        net.backward(x, g);
         opt.step();
     };
     for (int i = 0; i < 5; ++i)
