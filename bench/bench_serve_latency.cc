@@ -1,12 +1,14 @@
 /**
  * @file
  * Round-trip latency of the policy-serving front end over loopback
- * TCP: one closed-loop client against a live Server, swept over the
- * micro-batcher's deadline (0, 200 and 1000 us). The deadline
- * trades per-request latency for batching opportunity — with one
- * client there is nothing to coalesce, so this bench isolates the
- * front end's fixed cost (framing, epoll turn, batch bookkeeping,
- * one-row forward) and the price of a nonzero deadline.
+ * TCP: one closed-loop client against a live Server, at batch
+ * deadlines of 0, 200 and 1000 us. With one client there is nothing
+ * to coalesce, so this bench isolates the front end's fixed cost
+ * (framing, epoll turn, batch bookkeeping, one-row forward). The
+ * server flushes a lone request on its next idle turn whatever the
+ * deadline, so the rows differ only between requests: at 0 the loop
+ * sleeps after each flush and the next request pays its wake-up; at
+ * 200 and 1000 us it is still polling when the next one arrives.
  *
  *   ./bench_serve_latency [--benchmark_filter=...]
  *

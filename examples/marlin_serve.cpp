@@ -94,8 +94,11 @@ main(int argc, char **argv)
     args.addOption("batch-max", "32",
                    "flush a batch at this many queued requests");
     args.addOption("batch-deadline-us", "200",
-                   "flush when the oldest queued request has "
-                   "waited this long (0 = flush every turn)");
+                   "most time spent waiting for more requests: "
+                   "a batch is flushed on an idle loop turn, or "
+                   "once its oldest request waited this long; "
+                   "after a flush the loop polls this long before "
+                   "sleeping (0 = flush every turn, sleep at once)");
     args.addOption("reload-poll-ms", "0",
                    "watch the checkpoint rotation at this cadence "
                    "and hot-swap new weights (0 = SIGHUP only)");

@@ -94,15 +94,6 @@ MicroBatcher::deadlineExpired(std::uint64_t now_ns) const
     return now_ns - pending.front().enqueueNs >= deadlineNs;
 }
 
-std::uint64_t
-MicroBatcher::nsUntilDeadline(std::uint64_t now_ns) const
-{
-    if (pending.empty())
-        return 0;
-    const std::uint64_t waited = now_ns - pending.front().enqueueNs;
-    return waited >= deadlineNs ? 0 : deadlineNs - waited;
-}
-
 void
 MicroBatcher::flush(ServePolicy &policy, const Sink &sink,
                     std::uint64_t now_ns)

@@ -1,10 +1,12 @@
 /**
  * @file
- * Dynamic micro-batcher: pending requests coalesce until either
- * batchMax requests are queued or the oldest request has waited
- * batchDeadlineUs, then one flush runs a single batched actor
+ * Dynamic micro-batcher: pending requests coalesce until the server
+ * flushes them, on the first loop turn that finds no new request,
+ * once batchMax requests are queued, or once the oldest request has
+ * waited batchDeadlineUs. One flush runs a single batched actor
  * forward per agent and hands the action rows back in arrival
- * order.
+ * order, so a batch holds what arrived together, not what a fixed
+ * wait collected.
  *
  * Everything on the flush path is retained scratch — the flat
  * observation store, per-agent row plans and the input/output
@@ -45,9 +47,9 @@ class MicroBatcher
 {
   public:
     /**
-     * @param batch_max Flush as soon as this many are queued.
-     * @param deadline_us Flush when the oldest request has waited
-     *        this long (0 = flush on every service turn).
+     * @param batch_max full() once this many are queued.
+     * @param deadline_us deadlineExpired() once the oldest request
+     *        has waited this long (0 = at once).
      */
     MicroBatcher(std::size_t batch_max, std::uint64_t deadline_us);
 
@@ -69,12 +71,6 @@ class MicroBatcher
 
     /** True when the oldest queued request has expired. */
     bool deadlineExpired(std::uint64_t now_ns) const;
-
-    /**
-     * Nanoseconds until the oldest request expires (0 when already
-     * expired or the queue is empty).
-     */
-    std::uint64_t nsUntilDeadline(std::uint64_t now_ns) const;
 
     /**
      * Response sink: called once per queued request, in arrival

@@ -68,22 +68,6 @@ encodeFrame(std::vector<std::byte> &out, std::uint32_t magic,
 
 } // namespace
 
-const char *
-statusName(Status status)
-{
-    switch (status) {
-    case Status::Ok:
-        return "ok";
-    case Status::BadAgent:
-        return "bad-agent";
-    case Status::BadObsDim:
-        return "bad-obs-dim";
-    case Status::BadFrame:
-        return "bad-frame";
-    }
-    return "unknown";
-}
-
 void
 RequestView::copyObs(Real *dst) const
 {

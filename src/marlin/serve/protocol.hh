@@ -67,9 +67,6 @@ enum class Status : std::uint8_t
     BadFrame = 3,  ///< Framing violation; connection closes.
 };
 
-/** Stable lower-case name for a Status ("bad-agent"). */
-const char *statusName(Status status);
-
 /** One decoded request, viewing the decoder's buffer. */
 struct RequestView
 {

@@ -208,18 +208,14 @@ Server::stats() const
 int
 Server::waitTimeoutMs() const
 {
+    if (!batcher.empty() ||
+        base::nowNsSinceStart() - lastFlushNs <
+            config.batchDeadlineUs * 1000) {
+        return 0;
+    }
     std::uint64_t cap_ms = 50;
     if (config.reloadPollMs > 0)
         cap_ms = std::min(cap_ms, config.reloadPollMs);
-    if (!batcher.empty()) {
-        // Truncation is deliberate: a sub-millisecond deadline
-        // polls with timeout 0 until it expires, a bounded spin
-        // that keeps tail latency at the configured microseconds
-        // instead of the poller's millisecond floor.
-        const std::uint64_t ns =
-            batcher.nsUntilDeadline(base::nowNsSinceStart());
-        cap_ms = std::min(cap_ms, ns / 1000000);
-    }
     return static_cast<int>(cap_ms);
 }
 
@@ -255,9 +251,14 @@ Server::run()
                 flushOutput(connections.at(id));
         }
 
+        // A poll that found nothing means no more requests are on
+        // the way: holding the batch longer would only add latency.
+        // A turn that enqueued requests had events, so requests
+        // that arrive together still share one flush.
         const std::uint64_t now = base::nowNsSinceStart();
         if (!batcher.empty() &&
-            (batcher.full() || batcher.deadlineExpired(now))) {
+            (events.empty() || batcher.full() ||
+             batcher.deadlineExpired(now))) {
             flushBatch();
         }
         maybeReload(now);
@@ -378,6 +379,10 @@ void
 Server::flushBatch()
 {
     const std::uint64_t now = base::nowNsSinceStart();
+    // Counted before the responses go out, so a client holding its
+    // answer also sees this flush in stats().
+    ++counters.batches;
+    lastFlushNs = now;
     batcher.flush(
         policy,
         [this](std::uint64_t conn_id, const Real *actions,
@@ -410,7 +415,6 @@ Server::flushBatch()
             flushOutput(conn);
         },
         now);
-    ++counters.batches;
 }
 
 void

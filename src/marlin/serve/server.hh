@@ -40,9 +40,21 @@ struct ServeConfig
     std::uint16_t port = 0;
     /** listen(2) backlog. */
     int backlog = 64;
-    /** Flush a batch as soon as this many requests are queued. */
+    /**
+     * Flush a batch as soon as this many requests are queued. A
+     * pending batch is also flushed on the first loop turn whose
+     * poll finds no new event, so a lone request never waits for
+     * company that is not on its way.
+     */
     std::size_t batchMax = 32;
-    /** Flush when the oldest request has waited this long. */
+    /**
+     * The most time the loop spends waiting for more requests: a
+     * batch is flushed once its oldest request has waited this long
+     * even while requests keep arriving, and after a flush the loop
+     * polls without blocking for this long before it sleeps, so the
+     * next request finds it awake. 0 flushes every turn and sleeps
+     * at once.
+     */
     std::uint64_t batchDeadlineUs = 200;
     /**
      * Check the reload hook every this many ms even without a
@@ -143,6 +155,11 @@ class Server
     void closeConnection(std::uint64_t id, bool expected);
     void maybeReload(std::uint64_t now_ns);
     void publishGauges(std::uint64_t now_ns);
+    /**
+     * Poll timeout for the next turn: 0 while a batch is pending
+     * (an empty poll flushes it) and for batchDeadlineUs after the
+     * last flush; otherwise 50 ms, or reloadPollMs when shorter.
+     */
     int waitTimeoutMs() const;
 
     ServePolicy &policy;
@@ -164,6 +181,8 @@ class Server
     std::atomic<bool> reloadFlag{false};
     std::function<bool(bool forced)> reloadHook;
     std::uint64_t lastReloadCheckNs = 0;
+    /** Start of the last batch flush (see waitTimeoutMs). */
+    std::uint64_t lastFlushNs = 0;
 
     // QPS window for the serve.qps gauge.
     std::uint64_t windowStartNs = 0;

@@ -3,7 +3,8 @@
  * Serving front end tests: wire-protocol framing under arbitrary
  * fragmentation and corruption, micro-batcher grouping semantics,
  * loopback server behavior (correct actions, in-band semantic
- * errors, per-connection isolation of framing violations) and hot
+ * errors, per-connection isolation of framing violations, the
+ * idle-turn flush and the bounded poll window after it) and hot
  * checkpoint reload.
  */
 
@@ -11,11 +12,14 @@
 
 #include <chrono>
 #include <cstring>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
+
+#include <pthread.h>
 
 #include "marlin/base/instant.hh"
 #include "marlin/core/checkpoint.hh"
@@ -328,7 +332,6 @@ TEST(ServeBatcher, DeadlineAndWatermark)
     EXPECT_FALSE(batcher.full());
     EXPECT_FALSE(batcher.deadlineExpired(1000));
     EXPECT_TRUE(batcher.deadlineExpired(1000 + 100'000));
-    EXPECT_EQ(batcher.nsUntilDeadline(1000), 100'000u);
 
     batcher.add(2, 0, &obs, 1, 2000);
     EXPECT_TRUE(batcher.full());
@@ -457,6 +460,9 @@ TEST(ServeServer, FramingViolationClosesOnlyThatConnection)
                              status));
     EXPECT_EQ(status, serve::Status::Ok);
 
+    // Joined first: the loop must not be closing connections while
+    // stats() reads them.
+    rig.stopAndJoin();
     const serve::ServeStats stats = rig.server->stats();
     EXPECT_EQ(stats.protocolErrors, 1u);
 }
@@ -503,6 +509,9 @@ TEST(ServeServer, ManyClientsBatchedConcurrently)
     for (std::size_t c = 0; c < kClients; ++c)
         EXPECT_EQ(failures[c], 0) << "client " << c;
 
+    // The clients have closed; join the loop before stats() so it is
+    // not still handling their EOFs.
+    rig.stopAndJoin();
     const serve::ServeStats stats = rig.server->stats();
     EXPECT_EQ(stats.responses, kClients * kRequests);
     EXPECT_EQ(stats.protocolErrors, 0u);
@@ -588,6 +597,112 @@ TEST(ServeServer, StopWakesAnIdleLoopPromptly)
                 << rig.server->backendName() << " cycle " << cycle;
         }
     }
+}
+
+TEST(ServeServer, LoneRequestDoesNotWaitForTheDeadline)
+{
+    // A lone request is answered on the loop's next idle turn, not
+    // when the deadline runs out: five in a row take microseconds
+    // each, where waiting out a 1 s deadline would take 5 s.
+    serve::ServeConfig config;
+    config.batchDeadlineUs = 1'000'000;
+    ServerRig rig(config);
+    auto client = rig.connect();
+
+    Rng rng(41);
+    const auto obs = randomObs(rig.policy.obsDim(0), rng);
+    std::vector<Real> actions;
+    serve::Status status = serve::Status::Ok;
+    const std::uint64_t t0 = base::nowNsSinceStart();
+    for (int i = 0; i < 5; ++i) {
+        ASSERT_TRUE(client.request(0, obs.data(), obs.size(),
+                                   actions, status));
+        EXPECT_EQ(status, serve::Status::Ok);
+    }
+    EXPECT_LT(static_cast<double>(base::nowNsSinceStart() - t0) *
+                  1e-6,
+              500.0);
+}
+
+TEST(ServeServer, RequestsInOneReadShareOneFlush)
+{
+    serve::ServeConfig config;
+    config.batchMax = 32;
+    config.batchDeadlineUs = 1'000'000;
+    ServerRig rig(config);
+    auto client = rig.connect();
+
+    // One answered request first, so stats() is read after the
+    // server has accepted the connection and finished that flush.
+    Rng rng(43);
+    std::vector<Real> actions;
+    serve::Status status = serve::Status::Ok;
+    const auto warm = randomObs(rig.policy.obsDim(0), rng);
+    ASSERT_TRUE(client.request(0, warm.data(), warm.size(), actions,
+                               status));
+    const std::uint64_t batches = rig.server->stats().batches;
+
+    // Eight frames in one send arrive in one read: the turn that
+    // enqueues them has events, the next poll finds none, and that
+    // turn flushes all eight together.
+    constexpr std::size_t kFrames = 8;
+    std::vector<std::byte> wire;
+    std::vector<std::uint16_t> agents;
+    std::vector<std::vector<Real>> observations;
+    for (std::size_t i = 0; i < kFrames; ++i) {
+        agents.push_back(static_cast<std::uint16_t>(i % kAgents));
+        observations.push_back(
+            randomObs(rig.policy.obsDim(agents[i]), rng));
+        serve::encodeRequest(wire, agents[i], observations[i].data(),
+                             observations[i].size());
+    }
+    ASSERT_TRUE(client.sendRaw(wire.data(), wire.size()));
+    for (std::size_t i = 0; i < kFrames; ++i) {
+        ASSERT_TRUE(client.recvResponse(actions, status));
+        ASSERT_EQ(status, serve::Status::Ok);
+        const auto expected =
+            localForward(rig.policy, agents[i], observations[i]);
+        ASSERT_EQ(actions.size(), expected.size());
+        for (std::size_t k = 0; k < expected.size(); ++k)
+            EXPECT_FLOAT_EQ(actions[k], expected[k]) << i;
+    }
+    // Joined first, so stats() does not race the loop.
+    rig.stopAndJoin();
+    EXPECT_EQ(rig.server->stats().batches, batches + 1);
+}
+
+TEST(ServeServer, IdleLoopSleeps)
+{
+    // After a flush the loop polls without blocking for one deadline,
+    // then sleeps. Two deadlines after the last response, 200 ms
+    // with no traffic must cost the loop thread almost no CPU; a
+    // loop that kept polling would burn most of those 200 ms.
+    serve::ServeConfig config;
+    config.batchDeadlineUs = 5'000;
+    ServerRig rig(config);
+    auto client = rig.connect();
+
+    Rng rng(47);
+    const auto obs = randomObs(rig.policy.obsDim(0), rng);
+    std::vector<Real> actions;
+    serve::Status status = serve::Status::Ok;
+    ASSERT_TRUE(client.request(0, obs.data(), obs.size(), actions,
+                               status));
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+
+    clockid_t loop_clock = 0;
+    ASSERT_EQ(::pthread_getcpuclockid(rig.loop.native_handle(),
+                                      &loop_clock),
+              0);
+    const auto cpu_ms = [loop_clock] {
+        struct timespec ts{};
+        ::clock_gettime(loop_clock, &ts);
+        return static_cast<double>(ts.tv_sec) * 1e3 +
+               static_cast<double>(ts.tv_nsec) * 1e-6;
+    };
+    const double before = cpu_ms();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_LT(cpu_ms() - before, 20.0);
 }
 
 // ---------------------------------------------------------------
