@@ -198,13 +198,9 @@ AsyncTrainLoop::run(std::size_t episodes)
         result.ringResidual += ring->depth();
     }
 
-    const SupervisorStats &stats = supervisor.stats();
-    result.restarts =
-        stats.restarts.load(std::memory_order_relaxed);
-    result.degradations =
-        stats.degradations.load(std::memory_order_relaxed);
-    result.watchdogTrips =
-        stats.watchdogTrips.load(std::memory_order_relaxed);
+    result.restarts = supervisor.restarts();
+    result.degradations = supervisor.degradations();
+    result.watchdogTrips = supervisor.watchdogTrips();
     result.learnerFailed = supervisor.learnerFailed();
     result.learnerError = supervisor.learnerError();
 

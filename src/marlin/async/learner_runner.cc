@@ -6,11 +6,11 @@
 #include <thread>
 
 #include "marlin/async/flow_id.hh"
-#include "marlin/async/supervisor.hh"
 #include "marlin/base/instant.hh"
 #include "marlin/base/logging.hh"
 #include "marlin/base/string_utils.hh"
 #include "marlin/core/checkpoint.hh"
+#include "marlin/core/train_loop.hh"
 #include "marlin/obs/trace.hh"
 
 namespace marlin::async
@@ -92,9 +92,6 @@ LearnerRunner::drainRings()
                 ring->pop();
                 ++quarantined;
                 quarantinedCounter.add(1);
-                if (supStats != nullptr)
-                    supStats->quarantined.fetch_add(
-                        1, std::memory_order_relaxed);
                 ++fromRing;
                 continue;
             }
@@ -182,58 +179,13 @@ LearnerRunner::maybeEmitTelemetry()
         return;
     telemetryNextAt = drained + telemetryEvery;
 
-    obs::StepRecord rec;
+    // Ring, latency and supervision accounting ride in the record's
+    // registry snapshot, which refreshMetrics() just brought current.
     const std::uint64_t claimed =
         control.episodesClaimed.load(std::memory_order_relaxed);
-    rec.episode = std::min(claimed, control.episodeTarget);
-    rec.envStep = drained;
-    rec.updateCalls = updates;
-    rec.phaseNs.reserve(profile::numPhases);
-    for (std::size_t p = 0; p < profile::numPhases; ++p)
-    {
-        const auto phase = static_cast<Phase>(p);
-        const std::uint64_t total = _timer.nanoseconds(phase);
-        rec.phaseNs.emplace_back(profile::phaseName(phase),
-                                 total - telemetryLastNs[p]);
-        telemetryLastNs[p] = total;
-    }
-    if (_haveStats)
-    {
-        rec.haveLosses = true;
-        rec.criticLoss = static_cast<double>(stats.criticLoss);
-        rec.actorLoss = static_cast<double>(stats.actorLoss);
-        rec.meanAbsTd = static_cast<double>(stats.meanAbsTd);
-        rec.criticGradNorm =
-            static_cast<double>(stats.criticGradNorm);
-        rec.actorGradNorm = static_cast<double>(stats.actorGradNorm);
-    }
-    rec.haveRing = true;
-    rec.ringDropped = lastDropped;
-    rec.ringSeqGaps = lastGaps;
-    std::size_t depthTotal = 0;
-    for (const replay::TransitionRing *ring : rings)
-        depthTotal += ring->depth();
-    rec.ringDepth = depthTotal;
-    if (supStats != nullptr)
-    {
-        rec.haveSupervisor = true;
-        rec.supRestarts =
-            supStats->restarts.load(std::memory_order_relaxed);
-        rec.supDegradations =
-            supStats->degradations.load(std::memory_order_relaxed);
-        rec.supWatchdogTrips =
-            supStats->watchdogTrips.load(std::memory_order_relaxed);
-        rec.supQuarantined =
-            supStats->quarantined.load(std::memory_order_relaxed);
-    }
-    rec.haveAsyncLatency = true;
-    rec.transitP50Us = transitHistogram.quantile(0.5);
-    rec.transitP99Us = transitHistogram.quantile(0.99);
-    const std::uint64_t published = snapshot.version();
-    const std::uint64_t adopted = snapshot.minAdoptedVersion();
-    rec.policyStaleness =
-        published > adopted ? published - adopted : 0;
-    telemetry->writeStep(rec);
+    telemetry->writeStep(core::makeStepRecord(
+        std::min(claimed, control.episodeTarget), drained, updates,
+        _timer, telemetryLastNs, _haveStats ? &stats : nullptr));
 }
 
 void

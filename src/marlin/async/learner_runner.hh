@@ -25,8 +25,6 @@
 namespace marlin::async
 {
 
-struct SupervisorStats;
-
 /** Learner-side knobs, fixed for the run. */
 struct LearnerConfig
 {
@@ -91,12 +89,6 @@ class LearnerRunner
     // Supervisor wiring; call before the thread starts.
     void setHeartbeat(base::Heartbeat *hb) { heartbeat = hb; }
     void setFaultInjector(base::FaultInjector *fi) { injector = fi; }
-    /** Lets telemetry carry supervisor counters (schema v3) and
-     *  quarantine feed the shared stats. */
-    void setSupervisorStats(SupervisorStats *stats_in)
-    {
-        supStats = stats_in;
-    }
 
     /** Thread body: drain and update until all actors retire. */
     void run();
@@ -145,7 +137,6 @@ class LearnerRunner
 
     base::Heartbeat *heartbeat = nullptr;
     base::FaultInjector *injector = nullptr;
-    SupervisorStats *supStats = nullptr;
 
     StepCount drained = 0;
     StepCount insertionsSinceUpdate = 0;

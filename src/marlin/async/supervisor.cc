@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "marlin/base/logging.hh"
-#include "marlin/obs/metrics.hh"
 
 namespace marlin::async
 {
@@ -12,7 +11,15 @@ namespace marlin::async
 Supervisor::Supervisor(SupervisorConfig config_in,
                        RunControl &control_in,
                        base::FaultInjector *injector_in)
-    : config(config_in), control(control_in), injector(injector_in)
+    : config(config_in), control(control_in), injector(injector_in),
+      restartsCounter(
+          obs::Registry::instance().counter("supervisor.restarts")),
+      degradationsCounter(obs::Registry::instance().counter(
+          "supervisor.degradations")),
+      tripsCounter(obs::Registry::instance().counter(
+          "supervisor.watchdog_trips")),
+      learnerFailuresCounter(obs::Registry::instance().counter(
+          "supervisor.learner_failures"))
 {
     if (config.degradeAfterMs == 0)
         config.degradeAfterMs = 4 * config.watchdogDeadlineMs;
@@ -42,7 +49,6 @@ Supervisor::setLearner(std::string name, LearnerRunner *runner)
     learnerName = std::move(name);
     learner = runner;
     learner->setHeartbeat(&learnerHeartbeat);
-    learner->setSupervisorStats(&_stats);
     if (injector != nullptr)
         learner->setFaultInjector(injector);
 }
@@ -92,7 +98,7 @@ Supervisor::handleActorExit(ActorSlot &slot)
             std::chrono::milliseconds(slot.backoffMs));
         slot.backoffMs *= 2;
         ++slot.restarts;
-        _stats.restarts.fetch_add(1, std::memory_order_relaxed);
+        restartsCounter.add(1);
         slot.heartbeat.beat();
         inform("supervisor: restarting actor %s (attempt %zu/%zu)",
                slot.name.c_str(), slot.restarts,
@@ -109,7 +115,7 @@ Supervisor::handleActorExit(ActorSlot &slot)
     {
         slot.degraded = true;
         ++degradedActors;
-        _stats.degradations.fetch_add(1, std::memory_order_relaxed);
+        degradationsCounter.add(1);
         warn("supervisor: actor %s degraded after %zu restarts",
              slot.name.c_str(), slot.restarts);
     }
@@ -133,7 +139,8 @@ Supervisor::checkActorStall(ActorSlot &slot)
     if (!slot.tripped)
     {
         slot.tripped = true;
-        _stats.watchdogTrips.fetch_add(1, std::memory_order_relaxed);
+        ++trips;
+        tripsCounter.add(1);
         warn("supervisor: watchdog trip — actor %s silent for "
              "%llu ms (deadline %llu ms)",
              slot.name.c_str(),
@@ -148,7 +155,7 @@ Supervisor::checkActorStall(ActorSlot &slot)
         // actor abandons its episodes itself when (if) it wakes.
         slot.degraded = true;
         ++degradedActors;
-        _stats.degradations.fetch_add(1, std::memory_order_relaxed);
+        degradationsCounter.add(1);
         warn("supervisor: degrading stalled actor %s (silent for "
              "%llu ms)",
              slot.name.c_str(),
@@ -171,8 +178,7 @@ Supervisor::superviseUntilDone()
             {
                 _learnerFailed = true;
                 _learnerError = learnerThread->errorMessage();
-                _stats.learnerFailures.fetch_add(
-                    1, std::memory_order_relaxed);
+                learnerFailuresCounter.add(1);
                 warn("supervisor: learner %s died: %s — stopping "
                      "the run (the last periodic checkpoint is the "
                      "recovery path)",
@@ -202,23 +208,22 @@ Supervisor::superviseUntilDone()
         std::this_thread::sleep_for(
             std::chrono::milliseconds(config.pollMs));
     }
-    publishObsCounters();
+    publishFaultCounters();
+}
+
+std::uint64_t
+Supervisor::restarts() const
+{
+    std::uint64_t total = 0;
+    for (const auto &slot : actors)
+        total += slot->restarts;
+    return total;
 }
 
 void
-Supervisor::publishObsCounters() const
+Supervisor::publishFaultCounters() const
 {
     auto &registry = obs::Registry::instance();
-    registry.counter("supervisor.restarts")
-        .add(_stats.restarts.load(std::memory_order_relaxed));
-    registry.counter("supervisor.degradations")
-        .add(_stats.degradations.load(std::memory_order_relaxed));
-    registry.counter("supervisor.watchdog_trips")
-        .add(_stats.watchdogTrips.load(std::memory_order_relaxed));
-    registry.counter("supervisor.quarantined")
-        .add(_stats.quarantined.load(std::memory_order_relaxed));
-    registry.counter("supervisor.learner_failures")
-        .add(_stats.learnerFailures.load(std::memory_order_relaxed));
     if (injector != nullptr)
     {
         for (std::size_t k = 0; k < base::numFaultKinds; ++k)

@@ -28,15 +28,15 @@
  *    updates, is the recovery path). The run is stopped so actors
  *    exit, and no further checkpoint is written.
  *
- * Everything the supervisor does is counted in SupervisorStats and
- * mirrored to the obs registry, so a run that survived faults says
- * so in its telemetry instead of merely finishing.
+ * Every restart, degradation, watchdog trip and learner failure is
+ * counted in the obs registry (supervisor.*) the moment it happens,
+ * so a run that survives faults says so live — in /metrics and in
+ * every telemetry snapshot — instead of merely finishing.
  */
 
 #ifndef MARLIN_ASYNC_SUPERVISOR_HH
 #define MARLIN_ASYNC_SUPERVISOR_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -48,6 +48,7 @@
 #include "marlin/async/run_control.hh"
 #include "marlin/base/fault_injector.hh"
 #include "marlin/base/worker_thread.hh"
+#include "marlin/obs/metrics.hh"
 #include "marlin/replay/transition_ring.hh"
 
 namespace marlin::async
@@ -70,20 +71,6 @@ struct SupervisorConfig
 };
 
 /**
- * Supervision outcome counters. Shared with the learner (which
- * feeds quarantined and reads all of them into telemetry), so
- * every field is an atomic.
- */
-struct SupervisorStats
-{
-    std::atomic<std::uint64_t> restarts{0};
-    std::atomic<std::uint64_t> degradations{0};
-    std::atomic<std::uint64_t> watchdogTrips{0};
-    std::atomic<std::uint64_t> quarantined{0};
-    std::atomic<std::uint64_t> learnerFailures{0};
-};
-
-/**
  * Owns and supervises the fleet's threads. Usage: register the
  * learner and every actor, start(), then superviseUntilDone() on
  * the orchestrating thread — it returns with every thread joined.
@@ -95,6 +82,10 @@ class Supervisor
 {
   public:
     /**
+     * Registers supervisor.restarts, supervisor.degradations,
+     * supervisor.watchdog_trips and supervisor.learner_failures, so
+     * they are exported (at 0) before the first event.
+     *
      * @param injector Optional chaos source; its per-kind trip
      *        counts are mirrored to the obs registry at the end of
      *        the run ("fault.kill-actor", ...).
@@ -129,22 +120,23 @@ class Supervisor
     /**
      * Monitor loop (the watchdog): poll heartbeats and thread
      * states, apply restart/degrade/halt policy, and return once
-     * every thread has been joined. Obs counters
-     * (supervisor.restarts, supervisor.degradations,
-     * supervisor.watchdog_trips, supervisor.quarantined,
-     * fault.<kind>) are published before returning.
+     * every thread has been joined. The injector's fault.<kind>
+     * trip counts are published before returning.
      */
     void superviseUntilDone();
 
-    SupervisorStats &stats() { return _stats; }
-    const SupervisorStats &stats() const { return _stats; }
-
+    // This run's outcome, kept apart from the process-wide registry
+    // (tests run several supervisors in one process). Read after
+    // superviseUntilDone() returns.
+    /** Crashed actors restarted, summed over actors. */
+    std::uint64_t restarts() const;
+    /** Actors given up on (degraded), crash or stall. */
+    std::uint64_t degradations() const { return degradedActors; }
+    /** Stall episodes latched by the watchdog. */
+    std::uint64_t watchdogTrips() const { return trips; }
     /** True when the learner thread died with an exception. */
     bool learnerFailed() const { return _learnerFailed; }
     const std::string &learnerError() const { return _learnerError; }
-
-    /** Actors given up on (degraded), crash or stall. */
-    std::size_t actorsDegraded() const { return degradedActors; }
 
   private:
     struct ActorSlot
@@ -167,7 +159,7 @@ class Supervisor
     /** Stall policy for @p slot (its thread is alive). */
     void checkActorStall(ActorSlot &slot);
 
-    void publishObsCounters() const;
+    void publishFaultCounters() const;
 
     SupervisorConfig config;
     RunControl &control;
@@ -181,10 +173,16 @@ class Supervisor
     std::unique_ptr<base::WorkerThread> learnerThread;
     bool learnerSettled = false;
 
-    SupervisorStats _stats;
     bool _learnerFailed = false;
     std::string _learnerError;
-    std::size_t degradedActors = 0;
+    std::uint64_t degradedActors = 0;
+    std::uint64_t trips = 0;
+
+    // Obs registry handles, resolved once in the constructor.
+    obs::Counter &restartsCounter;
+    obs::Counter &degradationsCounter;
+    obs::Counter &tripsCounter;
+    obs::Counter &learnerFailuresCounter;
 };
 
 } // namespace marlin::async

@@ -118,17 +118,4 @@ parseLogLevel(const std::string &name)
           name.c_str());
 }
 
-const char *
-logLevelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Silent: return "silent";
-      case LogLevel::Fatal: return "fatal";
-      case LogLevel::Warn: return "warn";
-      case LogLevel::Inform: return "inform";
-      case LogLevel::Debug: return "debug";
-    }
-    return "unknown";
-}
-
 } // namespace marlin

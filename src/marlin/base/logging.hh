@@ -35,9 +35,6 @@ LogLevel logLevel();
  */
 LogLevel parseLogLevel(const std::string &name);
 
-/** Name of @p level, inverse of parseLogLevel. */
-const char *logLevelName(LogLevel level);
-
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 

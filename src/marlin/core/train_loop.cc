@@ -55,6 +55,37 @@ makeReplayStore(const TrainConfig &config,
         std::move(shapes), config.bufferCapacity, sc);
 }
 
+obs::StepRecord
+makeStepRecord(std::uint64_t episode, std::uint64_t env_step,
+               std::uint64_t update_calls,
+               const profile::PhaseTimer &timer,
+               std::array<std::uint64_t, profile::numPhases> &last_ns,
+               const UpdateStats *stats)
+{
+    obs::StepRecord rec;
+    rec.episode = episode;
+    rec.envStep = env_step;
+    rec.updateCalls = update_calls;
+    rec.phaseNs.reserve(profile::numPhases);
+    for (std::size_t p = 0; p < profile::numPhases; ++p) {
+        const auto phase = static_cast<Phase>(p);
+        const std::uint64_t total = timer.nanoseconds(phase);
+        rec.phaseNs.emplace_back(profile::phaseName(phase),
+                                 total - last_ns[p]);
+        last_ns[p] = total;
+    }
+    if (stats != nullptr) {
+        rec.haveLosses = true;
+        rec.criticLoss = static_cast<double>(stats->criticLoss);
+        rec.actorLoss = static_cast<double>(stats->actorLoss);
+        rec.meanAbsTd = static_cast<double>(stats->meanAbsTd);
+        rec.criticGradNorm =
+            static_cast<double>(stats->criticGradNorm);
+        rec.actorGradNorm = static_cast<double>(stats->actorGradNorm);
+    }
+    return rec;
+}
+
 TrainLoop::TrainLoop(env::Environment &environment_in,
                      Trainer &trainer_in, TrainConfig config_in)
     : environment(environment_in), trainer(trainer_in),
@@ -100,32 +131,10 @@ TrainLoop::maybeEmitTelemetry(const TrainResult &result)
     if (telemetry == nullptr ||
         progress.envSteps % telemetryEvery != 0)
         return;
-    obs::StepRecord rec;
-    rec.episode = progress.episodeIndex;
-    rec.envStep = progress.envSteps;
-    rec.updateCalls = progress.updateCalls;
-    rec.phaseNs.reserve(profile::numPhases);
-    for (std::size_t p = 0; p < profile::numPhases; ++p) {
-        const auto phase = static_cast<Phase>(p);
-        const std::uint64_t total = result.timer.nanoseconds(phase);
-        rec.phaseNs.emplace_back(profile::phaseName(phase),
-                                 total - telemetryLastNs[p]);
-        telemetryLastNs[p] = total;
-    }
-    if (telemetryHaveStats) {
-        rec.haveLosses = true;
-        rec.criticLoss =
-            static_cast<double>(telemetryLastStats.criticLoss);
-        rec.actorLoss =
-            static_cast<double>(telemetryLastStats.actorLoss);
-        rec.meanAbsTd =
-            static_cast<double>(telemetryLastStats.meanAbsTd);
-        rec.criticGradNorm =
-            static_cast<double>(telemetryLastStats.criticGradNorm);
-        rec.actorGradNorm =
-            static_cast<double>(telemetryLastStats.actorGradNorm);
-    }
-    telemetry->writeStep(rec);
+    telemetry->writeStep(makeStepRecord(
+        progress.episodeIndex, progress.envSteps,
+        progress.updateCalls, result.timer, telemetryLastNs,
+        telemetryHaveStats ? &telemetryLastStats : nullptr));
 }
 
 RunState

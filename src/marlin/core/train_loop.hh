@@ -93,6 +93,20 @@ std::unique_ptr<replay::ReplayStore>
 makeReplayStore(const TrainConfig &config,
                 std::vector<replay::TransitionShape> shapes);
 
+/**
+ * One telemetry step record, the shape both the lockstep loop and
+ * the async learner emit: the progress counters, each phase's
+ * nanoseconds since @p last_ns (which advances to @p timer's
+ * totals), and the losses in @p stats (null before the first
+ * update). obs knows neither phases nor UpdateStats; they meet here.
+ */
+obs::StepRecord
+makeStepRecord(std::uint64_t episode, std::uint64_t env_step,
+               std::uint64_t update_calls,
+               const profile::PhaseTimer &timer,
+               std::array<std::uint64_t, profile::numPhases> &last_ns,
+               const UpdateStats *stats);
+
 /** Owns the replay storage and drives the environment/trainer pair. */
 class TrainLoop
 {

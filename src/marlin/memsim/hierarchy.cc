@@ -1,39 +1,7 @@
 #include "marlin/memsim/hierarchy.hh"
 
-#include "marlin/obs/metrics.hh"
-
 namespace marlin::memsim
 {
-
-void
-publishHierarchyMetrics(const HierarchyStats &stats,
-                        const std::string &prefix)
-{
-    obs::Registry &reg = obs::Registry::instance();
-    const auto set = [&reg, &prefix](const char *name,
-                                     std::uint64_t v) {
-        reg.gauge(prefix + "." + name)
-            .set(static_cast<double>(v));
-    };
-    const auto cache = [&set](const char *level,
-                              const CacheStats &c) {
-        const std::string lv(level);
-        set((lv + ".hits").c_str(), c.hits);
-        set((lv + ".misses").c_str(), c.misses);
-        set((lv + ".prefetch_fills").c_str(), c.prefetchFills);
-        set((lv + ".prefetch_hits").c_str(), c.prefetchHits);
-        set((lv + ".evictions").c_str(), c.evictions);
-    };
-    cache("l1", stats.l1);
-    cache("l2", stats.l2);
-    cache("l3", stats.l3);
-    set("tlb.hits", stats.tlb.hits);
-    set("tlb.misses", stats.tlb.misses);
-    set("prefetcher.trained", stats.prefetcher.trained);
-    set("prefetcher.issued", stats.prefetcher.issued);
-    set("line_accesses", stats.lineAccesses);
-    set("cycles", stats.cycles);
-}
 
 CacheHierarchy::CacheHierarchy(HierarchyConfig config)
     : _config(config), l1(config.l1), l2(config.l2), l3(config.l3),

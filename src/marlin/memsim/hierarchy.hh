@@ -8,8 +8,6 @@
 #ifndef MARLIN_MEMSIM_HIERARCHY_HH
 #define MARLIN_MEMSIM_HIERARCHY_HH
 
-#include <string>
-
 #include "marlin/memsim/cache.hh"
 #include "marlin/memsim/prefetcher.hh"
 #include "marlin/memsim/tlb.hh"
@@ -46,16 +44,6 @@ struct HierarchyStats
     /** Misses that went all the way to memory. */
     std::uint64_t memAccesses() const { return l3.misses; }
 };
-
-/**
- * Copy a stats snapshot into the obs metrics registry as gauges
- * named "<prefix>.l1.hits", "<prefix>.tlb.misses", ... so memsim
- * results ride along in telemetry records next to the training
- * counters they explain. Gauges (not counters) because a snapshot
- * is a state, and repeated publishes must overwrite, not add.
- */
-void publishHierarchyMetrics(const HierarchyStats &stats,
-                             const std::string &prefix);
 
 /**
  * Inclusive three-level hierarchy. Demand accesses walk L1 -> L2 ->

@@ -176,31 +176,6 @@ TelemetryWriter::writeStep(const StepRecord &rec)
                 ",\"actor_grad_norm\":" +
                 jsonNumber(rec.actorGradNorm);
     }
-    if (rec.haveRing) {
-        line += ",\"ring_depth\":" + std::to_string(rec.ringDepth) +
-                ",\"ring_dropped\":" +
-                std::to_string(rec.ringDropped) +
-                ",\"ring_seq_gaps\":" +
-                std::to_string(rec.ringSeqGaps);
-    }
-    if (rec.haveSupervisor) {
-        line += ",\"sup_restarts\":" +
-                std::to_string(rec.supRestarts) +
-                ",\"sup_degradations\":" +
-                std::to_string(rec.supDegradations) +
-                ",\"sup_watchdog_trips\":" +
-                std::to_string(rec.supWatchdogTrips) +
-                ",\"sup_quarantined\":" +
-                std::to_string(rec.supQuarantined);
-    }
-    if (rec.haveAsyncLatency) {
-        line += ",\"transit_p50_us\":" +
-                jsonNumber(rec.transitP50Us) +
-                ",\"transit_p99_us\":" +
-                jsonNumber(rec.transitP99Us) +
-                ",\"policy_staleness\":" +
-                std::to_string(rec.policyStaleness);
-    }
     line += ",\"metrics\":" + metricsJson() + "}";
     writeLine(line);
 }

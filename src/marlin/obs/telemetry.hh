@@ -15,7 +15,10 @@
  * is bit-identical to the same run with it off (tests enforce this).
  *
  * Layering: obs does not know about profile::Phase or UpdateStats;
- * callers hand over (name, value) pairs. TrainLoop owns the mapping.
+ * callers hand over (name, value) pairs. core::makeStepRecord owns
+ * the mapping for both training loops. Everything else a record
+ * reports (ring, supervision and latency accounting included) is a
+ * registry metric and travels in the embedded snapshot.
  */
 
 #ifndef MARLIN_OBS_TELEMETRY_HH
@@ -39,8 +42,17 @@ namespace marlin::obs
  * v4: step records may carry cross-tier latency attribution
  * (transit_p50_us / transit_p99_us / policy_staleness), an
  * all-or-nothing group like the ring and supervisor groups.
+ * v5: the three groups are gone; each value is read from the
+ * record's own metrics snapshot instead. ring_depth, ring_dropped
+ * and ring_seq_gaps are async.ring.depth / .dropped / .seq_gaps;
+ * sup_restarts, sup_degradations and sup_watchdog_trips are
+ * supervisor.restarts / .degradations / .watchdog_trips, now live
+ * from the supervisor's construction; sup_quarantined is
+ * async.quarantined; transit_p50_us / transit_p99_us are quantiles
+ * of the async.ring.transit_us histogram; policy_staleness is
+ * async.policy.staleness.
  */
-inline constexpr int telemetrySchemaVersion = 4;
+inline constexpr int telemetrySchemaVersion = 5;
 
 /** Everything one step record carries; fill what you have. */
 struct StepRecord
@@ -57,24 +69,6 @@ struct StepRecord
     double meanAbsTd = 0.0;
     double criticGradNorm = 0.0;
     double actorGradNorm = 0.0;
-    /** Async runtime only: transition-ring accounting (schema v2). */
-    bool haveRing = false;
-    std::uint64_t ringDepth = 0;    ///< Records currently in flight.
-    std::uint64_t ringDropped = 0;  ///< Total dropped (rings full).
-    std::uint64_t ringSeqGaps = 0;  ///< Total sequence-gap count.
-    /** Supervised async runtime only (schema v3). */
-    bool haveSupervisor = false;
-    std::uint64_t supRestarts = 0;      ///< Actor restarts so far.
-    std::uint64_t supDegradations = 0;  ///< Actors given up on.
-    std::uint64_t supWatchdogTrips = 0; ///< Stall trips latched.
-    std::uint64_t supQuarantined = 0;   ///< NaN/Inf records dropped.
-    /** Cross-tier latency attribution (schema v4, async only). */
-    bool haveAsyncLatency = false;
-    double transitP50Us = 0.0; ///< Median ring transit age, µs.
-    double transitP99Us = 0.0; ///< Tail ring transit age, µs.
-    /** Learner snapshot version minus the slowest actor's adopted
-     *  version (0 = every actor runs the freshest policy). */
-    std::uint64_t policyStaleness = 0;
 };
 
 /**

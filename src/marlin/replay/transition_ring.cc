@@ -60,13 +60,6 @@ packRecord(Real *dst, const JointTransitionLayout &layout,
     }
 }
 
-void
-drainRecordInto(MultiAgentBuffer &buffers,
-                const JointTransitionLayout &layout, const Real *rec)
-{
-    buffers.appendRecord(layout, rec);
-}
-
 TransitionRing::TransitionRing(std::size_t stride,
                                std::size_t capacity_hint)
     : idx(capacity_hint), _stride(stride),

@@ -16,8 +16,8 @@
  *   pushed + dropped == sequence numbers issued
  *   seqGaps         == transitions the consumer observed missing
  *
- * The drain side (drainRecordInto) appends a record to every agent's
- * replay buffer through the raw-pointer add path, preserving the
+ * The drain side (ReplayStore::appendRecord) copies a record into
+ * replay through the raw-pointer add path, preserving the
  * zero-allocation steady state of the training loop.
  */
 
@@ -71,16 +71,6 @@ void packRecord(Real *dst, const JointTransitionLayout &layout,
                 const std::vector<Real> &rewards,
                 const std::vector<std::vector<Real>> &next_obs,
                 const std::vector<bool> &dones);
-
-/**
- * Append the record at @p rec to every agent's buffer via the
- * raw-pointer add path. Allocation-free on warm buffers; keeps the
- * per-agent rings advancing in lock-step like
- * MultiAgentBuffer::append.
- */
-void drainRecordInto(MultiAgentBuffer &buffers,
-                     const JointTransitionLayout &layout,
-                     const Real *rec);
 
 /**
  * The SPSC transition ring. Exactly one producer thread and one

@@ -159,6 +159,12 @@ TEST(Telemetry, JsonlSchemaRoundTrip)
 {
     TempDir dir("telemetry");
     const std::string path = dir.file("run.jsonl");
+    auto &registry = obs::Registry::instance();
+    registry.resetAll();
+    registry.counter("test.telemetry.dropped").add(2);
+    registry.gauge("test.telemetry.depth").set(17);
+    registry.histogram("test.telemetry.transit_us", {100, 1000})
+        .observe(120.5);
     {
         obs::TelemetryWriter writer(
             path, {{"algo", "maddpg"}, {"task", "cn"}});
@@ -172,14 +178,6 @@ TEST(Telemetry, JsonlSchemaRoundTrip)
         rec.haveLosses = true;
         rec.criticLoss = 0.25;
         rec.actorLoss = -0.5;
-        rec.haveRing = true;
-        rec.ringDepth = 17;
-        rec.ringDropped = 2;
-        rec.ringSeqGaps = 2;
-        rec.haveAsyncLatency = true;
-        rec.transitP50Us = 120.5;
-        rec.transitP99Us = 900.25;
-        rec.policyStaleness = 3;
         writer.writeStep(rec);
 
         obs::StepRecord no_losses;
@@ -214,25 +212,25 @@ TEST(Telemetry, JsonlSchemaRoundTrip)
         << "phase_ns map should carry the env_step phase delta";
     EXPECT_NE(lines[1].find("\"critic_loss\":"), std::string::npos);
     EXPECT_EQ(lines[2].find("\"critic_loss\":"), std::string::npos);
-    // Ring accounting (schema v2) travels only when set.
-    EXPECT_NE(lines[1].find("\"ring_depth\":17"), std::string::npos);
-    EXPECT_NE(lines[1].find("\"ring_dropped\":2"),
-              std::string::npos);
-    EXPECT_NE(lines[1].find("\"ring_seq_gaps\":2"),
-              std::string::npos);
-    EXPECT_EQ(lines[2].find("\"ring_depth\":"), std::string::npos);
-    // Latency attribution (schema v4) travels only when set, as an
-    // all-or-nothing group.
-    EXPECT_NE(lines[1].find("\"transit_p50_us\":120.5"),
-              std::string::npos);
-    EXPECT_NE(lines[1].find("\"transit_p99_us\":900.25"),
-              std::string::npos);
-    EXPECT_NE(lines[1].find("\"policy_staleness\":3"),
-              std::string::npos);
-    EXPECT_EQ(lines[2].find("\"transit_p50_us\":"),
-              std::string::npos);
-    EXPECT_EQ(lines[2].find("\"policy_staleness\":"),
-              std::string::npos);
+    // Every step record embeds the registry snapshot: counters,
+    // gauges and histograms (schema v5 copies none of them into
+    // fields of their own).
+    for (const std::size_t i : {1, 2}) {
+        EXPECT_NE(lines[i].find("\"test.telemetry.dropped\":{"
+                                "\"kind\":\"counter\",\"count\":2}"),
+                  std::string::npos);
+        EXPECT_NE(lines[i].find("\"test.telemetry.depth\":{"
+                                "\"kind\":\"gauge\",\"value\":17}"),
+                  std::string::npos);
+        EXPECT_NE(lines[i].find("\"test.telemetry.transit_us\":{"
+                                "\"kind\":\"histogram\",\"count\":1,"
+                                "\"sum\":120.5,\"buckets\":[[100,0],"
+                                "[1000,1],[\"+Inf\",0]]}"),
+                  std::string::npos);
+        EXPECT_EQ(lines[i].find("\"ring_depth\":"), std::string::npos);
+        EXPECT_EQ(lines[i].find("\"transit_p50_us\":"),
+                  std::string::npos);
+    }
     // Summary: results and a final metrics snapshot.
     EXPECT_NE(lines[3].find("\"record\":\"summary\""),
               std::string::npos);

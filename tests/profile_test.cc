@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the profiling substrate: phase timers, breakdown math,
- * and the stats registry.
+ * Tests for the profiling substrate: phase timers and breakdown
+ * math.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "marlin/profile/report.hh"
-#include "marlin/profile/stats.hh"
 
 namespace marlin::profile
 {
@@ -113,46 +112,6 @@ TEST(Report, FormattersProduceOutput)
               std::string::npos);
     EXPECT_NE(formatPhaseTable(t).find("mini_batch_sampling"),
               std::string::npos);
-}
-
-TEST(Distribution, Moments)
-{
-    Distribution d;
-    EXPECT_EQ(d.mean(), 0.0);
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        d.sample(v);
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_NEAR(d.mean(), 2.5, 1e-12);
-    EXPECT_EQ(d.min(), 1.0);
-    EXPECT_EQ(d.max(), 4.0);
-    EXPECT_NEAR(d.variance(), 5.0 / 3.0, 1e-9);
-}
-
-TEST(Distribution, SingleSampleHasZeroVariance)
-{
-    Distribution d;
-    d.sample(7.0);
-    EXPECT_EQ(d.variance(), 0.0);
-    EXPECT_EQ(d.min(), 7.0);
-    EXPECT_EQ(d.max(), 7.0);
-}
-
-TEST(StatsRegistry, CountersAndDists)
-{
-    StatsRegistry reg;
-    reg.inc("updates");
-    reg.inc("updates", 4);
-    EXPECT_EQ(reg.counter("updates"), 5u);
-    EXPECT_EQ(reg.counter("missing"), 0u);
-    reg.sample("reward", 1.0);
-    reg.sample("reward", 3.0);
-    EXPECT_NEAR(reg.dist("reward").mean(), 2.0, 1e-12);
-    EXPECT_EQ(reg.dist("missing").count(), 0u);
-    EXPECT_EQ(reg.counterNames().size(), 1u);
-    EXPECT_EQ(reg.distNames().size(), 1u);
-    EXPECT_NE(reg.dump().find("updates"), std::string::npos);
-    reg.reset();
-    EXPECT_EQ(reg.counter("updates"), 0u);
 }
 
 TEST(Phase, NamesAreDistinct)

@@ -240,7 +240,7 @@ TEST(TransitionRing, PackDrainRoundTripsThroughReplay)
     replay::packRecord(rec.data(), layout, obs, act, rew, nxt, done);
 
     replay::MultiAgentBuffer buffers({{2, 3}, {4, 3}}, 16);
-    replay::drainRecordInto(buffers, layout, rec.data());
+    buffers.appendRecord(layout, rec.data());
     ASSERT_EQ(buffers.size(), 1u);
 
     const auto &b0 = buffers.agent(0);

@@ -12,7 +12,11 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
+#include <regex>
 #include <thread>
 #include <vector>
 
@@ -73,11 +77,14 @@ makeMaddpg(const core::TrainConfig &config)
         [] { return std::make_unique<replay::UniformSampler>(); });
 }
 
-/** One supervised async run under @p injector's schedule. */
+/** One supervised async run under @p injector's schedule; @p setup
+ *  may attach telemetry or a watchdog-tick hook first. */
 async::AsyncTrainResult
 runChaos(std::size_t episodes, async::AsyncConfig acfg,
          base::FaultInjector *injector,
-         core::CtdeTrainerBase *trainer = nullptr)
+         core::CtdeTrainerBase *trainer = nullptr,
+         const std::function<void(async::AsyncTrainLoop &)> &setup =
+             nullptr)
 {
     const core::TrainConfig config = chaosTestConfig();
     std::unique_ptr<core::CtdeTrainerBase> owned;
@@ -99,6 +106,8 @@ runChaos(std::size_t episodes, async::AsyncConfig acfg,
         config, acfg);
     if (injector != nullptr)
         loop.setFaultInjector(injector);
+    if (setup)
+        setup(loop);
     return loop.run(episodes);
 }
 
@@ -457,9 +466,105 @@ TEST(Supervisor, SupervisionCountersSurfaceInObsRegistry)
               result.restarts);
     EXPECT_EQ(registry.counter("supervisor.degradations").value(),
               result.degradations);
-    EXPECT_EQ(registry.counter("supervisor.quarantined").value(),
+    EXPECT_EQ(registry.counter("async.quarantined").value(),
               result.quarantined);
     EXPECT_EQ(registry.counter("fault.kill-actor").value(), 1u);
+}
+
+TEST(Supervisor, CountersAreLiveDuringTheRun)
+{
+    // A restart reaches the registry when it happens, not after the
+    // run: the watchdog tick's hook (where the CLI serves /metrics)
+    // already sees it. The last tick comes after the last event, so
+    // its read is the run's full count.
+    auto &registry = obs::Registry::instance();
+    registry.resetAll();
+    const obs::Counter &restarts =
+        registry.counter("supervisor.restarts");
+
+    base::FaultInjector injector;
+    injector.scheduleFault({base::FaultKind::KillActor, 1, 1, 0});
+    async::AsyncConfig acfg;
+    acfg.actors = 2;
+    std::uint64_t lastTickRead = 0;
+    const auto result =
+        runChaos(10, acfg, &injector, nullptr,
+                 [&](async::AsyncTrainLoop &loop) {
+                     loop.setSupervisorHook(
+                         [&] { lastTickRead = restarts.value(); });
+                 });
+
+    EXPECT_GE(result.restarts, 1u);
+    EXPECT_EQ(lastTickRead, result.restarts);
+}
+
+TEST(Supervisor, TelemetryStepRecordsCarryLiveRegistryCounters)
+{
+    // Step records report ring, quarantine and supervision
+    // accounting only through their registry snapshot, so the
+    // snapshot must hold those counters from the first record on,
+    // and no counter in it may fall from one record to the next.
+    auto &registry = obs::Registry::instance();
+    registry.resetAll();
+    TempDir dir("telemetry");
+    const std::string path = (dir.path / "async.jsonl").string();
+
+    base::FaultInjector injector;
+    injector.scheduleFault(
+        {base::FaultKind::CorruptTransition, 0, 2, 0});
+    async::AsyncConfig acfg;
+    acfg.actors = 2;
+    async::AsyncTrainResult result;
+    {
+        obs::TelemetryWriter writer(path, {{"test", "async"}});
+        ASSERT_TRUE(writer.ok());
+        result = runChaos(10, acfg, &injector, nullptr,
+                          [&writer](async::AsyncTrainLoop &loop) {
+                              loop.setTelemetry(&writer, 5);
+                          });
+    }
+    ASSERT_EQ(result.quarantined, 1u);
+
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_GE(lines.size(), 2u);
+
+    const std::regex counterRe(
+        R"re("([^"]+)":\{"kind":"counter","count":(\d+)\})re");
+    std::map<std::string, std::uint64_t> previous;
+    std::size_t steps = 0;
+    for (const std::string &line : lines)
+    {
+        if (line.find("\"record\":\"step\"") == std::string::npos)
+            continue;
+        ++steps;
+        std::map<std::string, std::uint64_t> counts;
+        for (std::sregex_iterator it(line.begin(), line.end(),
+                                     counterRe),
+             end;
+             it != end; ++it)
+            counts[(*it)[1]] = std::stoull((*it)[2]);
+        for (const char *name : {"async.ring.pushed",
+                                 "async.quarantined",
+                                 "supervisor.restarts"})
+            EXPECT_EQ(counts.count(name), 1u)
+                << name << " missing from step record " << steps;
+        for (const auto &[name, count] : previous)
+            EXPECT_GE(counts[name], count)
+                << name << " fell at step record " << steps;
+        previous = std::move(counts);
+    }
+    EXPECT_GE(steps, 2u);
+
+    const std::string &summary = lines.back();
+    ASSERT_NE(summary.find("\"record\":\"summary\""),
+              std::string::npos);
+    EXPECT_NE(summary.find("\"async.quarantined\":{\"kind\":"
+                           "\"counter\",\"count\":" +
+                           std::to_string(result.quarantined) + "}"),
+              std::string::npos);
 }
 
 // --- Watchdog stall policy --------------------------------------

@@ -28,30 +28,9 @@ Usage: check_bench_json.py STDOUT_FILE BENCHMARK_JSON_FILE
 """
 
 import json
-import math
 import sys
 
-
-def fail(msg: str) -> None:
-    print(f"check_bench_json: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def reject_non_finite(token: str) -> None:
-    """parse_constant hook: NaN/Infinity tokens fail the check."""
-    fail(f"non-finite JSON value {token!r}")
-
-
-def check_finite_numbers(node, path: str) -> None:
-    """Recursively reject float('nan')/inf that snuck past parsing."""
-    if isinstance(node, float) and not math.isfinite(node):
-        fail(f"non-finite metric value at {path}")
-    elif isinstance(node, dict):
-        for key, value in node.items():
-            check_finite_numbers(value, f"{path}.{key}")
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            check_finite_numbers(value, f"{path}[{i}]")
+from checklib import check_finite_numbers, fail, reject_non_finite
 
 
 def check_banner(stdout_path: str) -> None:

@@ -32,28 +32,8 @@ Usage: check_latency_json.py LOADGEN_JSON
 
 import argparse
 import json
-import math
-import sys
 
-
-def fail(msg: str) -> None:
-    print(f"check_latency_json: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def reject_non_finite(token: str) -> None:
-    fail(f"non-finite JSON value {token!r}")
-
-
-def check_finite_numbers(node, path: str) -> None:
-    if isinstance(node, float) and not math.isfinite(node):
-        fail(f"non-finite metric value at {path}")
-    elif isinstance(node, dict):
-        for key, value in node.items():
-            check_finite_numbers(value, f"{path}.{key}")
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            check_finite_numbers(value, f"{path}[{i}]")
+from checklib import check_finite_numbers, fail, reject_non_finite
 
 
 def get_count(run: dict, key: str, where: str) -> int:

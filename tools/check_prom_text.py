@@ -28,16 +28,13 @@ import math
 import re
 import sys
 
+from checklib import fail
+
 NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>[^}]*)\})?"
     r" (?P<value>\S+)$")
-
-
-def fail(msg: str) -> None:
-    print(f"check_prom_text: {msg}", file=sys.stderr)
-    sys.exit(1)
 
 
 def parse_value(text: str, where: str) -> float:

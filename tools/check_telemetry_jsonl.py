@@ -11,20 +11,16 @@ Checks the schema contract that downstream analysis relies on:
     deltas, and a metrics snapshot whose entries are well-formed
     (counters carry counts, gauges values, histograms bucket arrays
     with ascending bounds ending in "+Inf");
-  * step records from the async runtime (schema v2) carry ring
-    accounting: ring_depth plus monotonically non-decreasing
-    ring_dropped / ring_seq_gaps totals, all non-negative integers
-    (the three fields travel together or not at all);
-  * supervised async runs (schema v3) additionally carry supervision
-    accounting: sup_restarts / sup_degradations / sup_watchdog_trips
-    / sup_quarantined, all non-negative integers travelling together
-    or not at all, with sup_restarts and sup_quarantined
-    monotonically non-decreasing;
-  * async runs (schema v4) additionally carry cross-tier latency
-    attribution: transit_p50_us / transit_p99_us (non-negative
-    numbers, p50 <= p99) and policy_staleness (non-negative integer),
-    travelling together or not at all;
+  * from one step record to the next, no counter's count and no
+    histogram's count falls. The registry only ever adds, so this
+    covers every counter a run reports -- ring drops and sequence
+    gaps (async.ring.*), quarantined records (async.quarantined)
+    and supervision events (supervisor.*) among them;
   * the last record is a summary with a numeric results map.
+
+Schema v5 step records carry no ring, supervision or latency fields
+of their own: those values live in the record's metrics snapshot
+under their registry names.
 
 Usage: check_telemetry_jsonl.py FILE [--min-steps N]
 
@@ -34,36 +30,30 @@ a diagnostic and exits 1, so CI can gate on it.
 
 import argparse
 import json
-import sys
 
-SCHEMA_VERSION = 4
+from checklib import fail
 
-RING_KEYS = ("ring_depth", "ring_dropped", "ring_seq_gaps")
-
-SUP_KEYS = ("sup_restarts", "sup_degradations", "sup_watchdog_trips",
-            "sup_quarantined")
-
-LATENCY_KEYS = ("transit_p50_us", "transit_p99_us",
-                "policy_staleness")
+SCHEMA_VERSION = 5
 
 
-def fail(msg: str) -> None:
-    print(f"check_telemetry_jsonl: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def check_metrics(metrics, where: str) -> None:
+def check_metrics(metrics, where: str) -> dict:
+    """Validate a metrics snapshot; return its counter and histogram
+    counts by name."""
     if not isinstance(metrics, dict):
         fail(f"{where}: metrics is not an object")
+    counts = {}
     for name, m in metrics.items():
         kind = m.get("kind")
-        if kind == "counter":
-            if not isinstance(m.get("count"), int) or m["count"] < 0:
-                fail(f"{where}: counter {name!r} has a bad count")
-        elif kind == "gauge":
+        if kind == "gauge":
             if not isinstance(m.get("value"), (int, float)):
                 fail(f"{where}: gauge {name!r} has a bad value")
-        elif kind == "histogram":
+            continue
+        if kind not in ("counter", "histogram"):
+            fail(f"{where}: metric {name!r} has unknown kind {kind!r}")
+        if not isinstance(m.get("count"), int) or m["count"] < 0:
+            fail(f"{where}: {kind} {name!r} has a bad count")
+        counts[name] = m["count"]
+        if kind == "histogram":
             buckets = m.get("buckets")
             if not isinstance(buckets, list) or not buckets:
                 fail(f"{where}: histogram {name!r} has no buckets")
@@ -74,70 +64,10 @@ def check_metrics(metrics, where: str) -> None:
             if bounds != sorted(bounds):
                 fail(f"{where}: histogram {name!r} bounds are not "
                      "ascending")
-        else:
-            fail(f"{where}: metric {name!r} has unknown kind {kind!r}")
+    return counts
 
 
-def check_ring(rec, where: str, prev_ring) -> tuple:
-    """Validate the optional (all-or-nothing) ring accounting."""
-    present = [k for k in RING_KEYS if k in rec]
-    if not present:
-        return prev_ring
-    if len(present) != len(RING_KEYS):
-        missing = set(RING_KEYS) - set(present)
-        fail(f"{where}: partial ring accounting (missing "
-             f"{sorted(missing)})")
-    for key in RING_KEYS:
-        if not isinstance(rec[key], int) or rec[key] < 0:
-            fail(f"{where}: {key!r} is not a non-negative integer")
-    ring = (rec["ring_dropped"], rec["ring_seq_gaps"])
-    if prev_ring is not None and ring < prev_ring:
-        fail(f"{where}: ring totals went backwards: "
-             f"{ring} after {prev_ring}")
-    return ring
-
-
-def check_supervisor(rec, where: str, prev_sup) -> tuple:
-    """Validate the optional (all-or-nothing) supervision block."""
-    present = [k for k in SUP_KEYS if k in rec]
-    if not present:
-        return prev_sup
-    if len(present) != len(SUP_KEYS):
-        missing = set(SUP_KEYS) - set(present)
-        fail(f"{where}: partial supervision accounting (missing "
-             f"{sorted(missing)})")
-    for key in SUP_KEYS:
-        if not isinstance(rec[key], int) or rec[key] < 0:
-            fail(f"{where}: {key!r} is not a non-negative integer")
-    sup = (rec["sup_restarts"], rec["sup_quarantined"])
-    if prev_sup is not None and sup < prev_sup:
-        fail(f"{where}: supervision totals went backwards: "
-             f"{sup} after {prev_sup}")
-    return sup
-
-
-def check_latency(rec, where: str) -> None:
-    """Validate the optional (all-or-nothing) latency attribution."""
-    present = [k for k in LATENCY_KEYS if k in rec]
-    if not present:
-        return
-    if len(present) != len(LATENCY_KEYS):
-        missing = set(LATENCY_KEYS) - set(present)
-        fail(f"{where}: partial latency attribution (missing "
-             f"{sorted(missing)})")
-    for key in ("transit_p50_us", "transit_p99_us"):
-        v = rec[key]
-        if not isinstance(v, (int, float)) or v < 0:
-            fail(f"{where}: {key!r} is not a non-negative number")
-    if rec["transit_p50_us"] > rec["transit_p99_us"]:
-        fail(f"{where}: transit_p50_us > transit_p99_us")
-    staleness = rec["policy_staleness"]
-    if not isinstance(staleness, int) or staleness < 0:
-        fail(f"{where}: 'policy_staleness' is not a non-negative "
-             "integer")
-
-
-def check_step(rec, lineno: int, prev, prev_ring, prev_sup) -> tuple:
+def check_step(rec, lineno: int, prev, prev_counts) -> tuple:
     where = f"line {lineno}"
     for key in ("t", "episode", "env_step", "update_calls",
                 "phase_ns", "metrics"):
@@ -156,11 +86,12 @@ def check_step(rec, lineno: int, prev, prev_ring, prev_sup) -> tuple:
         if not isinstance(ns, int) or ns < 0:
             fail(f"{where}: phase {phase!r} delta {ns!r} is not a "
                  "non-negative integer")
-    ring = check_ring(rec, where, prev_ring)
-    sup = check_supervisor(rec, where, prev_sup)
-    check_latency(rec, where)
-    check_metrics(rec["metrics"], where)
-    return (episode, step), ring, sup
+    counts = check_metrics(rec["metrics"], where)
+    for name, before in prev_counts.items():
+        if counts.get(name, 0) < before:
+            fail(f"{where}: {name!r} count fell from {before} to "
+                 f"{counts.get(name, 0)}")
+    return (episode, step), counts
 
 
 def main() -> None:
@@ -203,13 +134,11 @@ def main() -> None:
 
     steps = 0
     prev = None
-    prev_ring = None
-    prev_sup = None
+    prev_counts = {}
     for i, rec in enumerate(records[1:], 2):
         kind = rec["record"]
         if kind == "step":
-            prev, prev_ring, prev_sup = check_step(
-                rec, i, prev, prev_ring, prev_sup)
+            prev, prev_counts = check_step(rec, i, prev, prev_counts)
             steps += 1
         elif kind == "summary":
             if i != len(records):

@@ -27,12 +27,8 @@ Usage: check_trace_json.py FILE [--require-cat CAT ...]
 
 import argparse
 import json
-import sys
 
-
-def fail(msg: str) -> None:
-    print(f"check_trace_json: {msg}", file=sys.stderr)
-    sys.exit(1)
+from checklib import fail
 
 
 def main() -> None:
