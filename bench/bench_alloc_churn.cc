@@ -1,12 +1,11 @@
 /**
  * @file
  * Allocation churn in the training hot path: measures the steady
- * state step's components in their warm, workspace-backed form
- * against the historical by-value form, and reports heap
- * allocations per iteration as a benchmark counter (allocs_per_iter,
- * bytes_per_iter) via base::AllocGuard. A regression that
- * reintroduces steady-state churn shows up here as a nonzero
- * counter long before it costs enough wall clock to trip a
+ * state step's components in their warm, workspace-backed form, and
+ * reports heap allocations per iteration as a benchmark counter
+ * (allocs_per_iter, bytes_per_iter) via base::AllocGuard. A
+ * regression that reintroduces steady-state churn shows up here as a
+ * nonzero counter long before it costs enough wall clock to trip a
  * throughput bench.
  */
 
@@ -51,25 +50,11 @@ reportAllocs(benchmark::State &state, const base::AllocGuard &guard)
 // --- environment stepping -------------------------------------------
 
 void
-BM_EnvStepByValue(benchmark::State &state)
-{
-    auto environment = env::makeCooperativeNavigationEnv(3, 7);
-    environment->reset();
-    const std::vector<int> actions{1, 2, 3};
-    base::AllocGuard guard;
-    for (auto _ : state) {
-        env::StepResult result = environment->step(actions);
-        benchmark::DoNotOptimize(result.rewards.data());
-    }
-    reportAllocs(state, guard);
-}
-BENCHMARK(BM_EnvStepByValue);
-
-void
 BM_EnvStepInto(benchmark::State &state)
 {
     auto environment = env::makeCooperativeNavigationEnv(3, 7);
-    environment->reset();
+    std::vector<std::vector<Real>> obs;
+    environment->resetInto(obs);
     const std::vector<int> actions{1, 2, 3};
     env::StepResult result;
     environment->stepInto(actions, result); // Warm the scratch.

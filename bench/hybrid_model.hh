@@ -129,21 +129,22 @@ estimatePhases(Algo algo, Task task, std::size_t agents,
     auto trainer = makeTrainer(algo, dims, act_dim, config,
                                uniformFactory());
 
-    auto obs = environment->reset();
+    std::vector<std::vector<Real>> obs;
+    environment->resetInto(obs);
     const int steps = 200;
+    std::vector<int> actions;
     {
         profile::Stopwatch sw;
         for (int t = 0; t < steps; ++t)
-            trainer->selectActions(obs, 0);
+            trainer->selectActionsInto(obs, 0, actions);
         est.actionSelection = sw.elapsedSeconds() / steps;
     }
     {
+        env::StepResult step;
         profile::Stopwatch sw;
         for (int t = 0; t < steps; ++t) {
-            auto step = environment->step(
-                std::vector<int>(agents, t % 5));
-            if (t == steps - 1)
-                obs = step.observations;
+            actions.assign(agents, t % 5);
+            environment->stepInto(actions, step);
         }
         est.envStep = sw.elapsedSeconds() / steps;
     }

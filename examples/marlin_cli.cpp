@@ -458,8 +458,7 @@ main(int argc, char **argv)
             serve::MetricsHttp *http = stats.get();
             loop.setSupervisorHook([http] { http->serviceOnce(0); });
         }
-        base::FaultInjector injector(
-            static_cast<std::uint64_t>(args.getInt("seed")));
+        base::FaultInjector injector;
         if (!args.get("chaos").empty()) {
             std::string chaos_error;
             if (!injector.parseChaosSpec(args.get("chaos"),

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "marlin/marlin.hh"
 
@@ -130,11 +131,13 @@ main(int argc, char **argv)
         dims, environment->actionDim(), config,
         [] { return std::make_unique<replay::UniformSampler>(); });
 
-    auto obs = environment->reset();
+    std::vector<std::vector<Real>> obs;
+    environment->resetInto(obs);
+    env::StepResult result;
     for (int step = 0; step < 6; ++step) {
         renderFrame(environment->world(), step);
-        auto actions = trainer.greedyActions(obs);
-        obs = environment->step(actions).observations;
+        environment->stepInto(trainer.greedyActions(obs), result);
+        std::swap(obs, result.observations);
     }
     return 0;
 }

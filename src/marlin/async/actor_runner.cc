@@ -15,6 +15,15 @@ namespace marlin::async
 using profile::Phase;
 using profile::ScopedPhase;
 
+namespace
+{
+
+/** Ring publishes are batched: one release store per this many
+ *  generated transitions (and at every episode boundary). */
+constexpr std::size_t publishBatch = 8;
+
+} // namespace
+
 ActorRunner::ActorRunner(
     ActorConfig config_in,
     std::vector<std::unique_ptr<env::Environment>> envs_in,
@@ -161,7 +170,7 @@ ActorRunner::stepLane(Lane &lane)
                            obs::FlowDir::Out);
             }
         }
-        if (++sincePublish >= config.publishBatch)
+        if (++sincePublish >= publishBatch)
         {
             ring.publish();
             sincePublish = 0;

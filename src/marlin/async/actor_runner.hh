@@ -31,9 +31,6 @@ struct ActorConfig
     std::size_t actorId = 0;
     /** Environment steps per episode (TrainConfig value). */
     std::size_t maxEpisodeLength = 25;
-    /** Ring publishes are batched: one release store per this many
-     *  generated transitions (and at every episode boundary). */
-    std::size_t publishBatch = 8;
     core::ActionMode actionMode = core::ActionMode::Discrete;
 };
 
@@ -42,9 +39,9 @@ struct ActorConfig
  * env step per lane per sweep, so a multi-lane actor amortizes each
  * weight refresh and ring publish over several concurrent episodes.
  * Lanes are plain Environment instances stepped serially on this
- * thread — deliberately not VectorEnvironment, which would re-enter
- * the global ThreadPool from N actor threads at once (see
- * base/worker_thread.hh for why long-lived roles stay off the pool).
+ * thread, never on the global ThreadPool, which N actor threads
+ * would otherwise re-enter at once (see base/worker_thread.hh for
+ * why long-lived roles stay off the pool).
  *
  * Thread contract: run() is the thread body; everything else is
  * constructed before the thread starts and read after it joins.

@@ -137,7 +137,6 @@ AsyncTrainLoop::run(std::size_t episodes)
         ActorConfig acfg;
         acfg.actorId = a;
         acfg.maxEpisodeLength = config.maxEpisodeLength;
-        acfg.publishBatch = async.publishBatch;
         acfg.actionMode = config.actionMode;
         actors.push_back(std::make_unique<ActorRunner>(
             acfg, std::move(lanes),
@@ -151,8 +150,6 @@ AsyncTrainLoop::run(std::size_t episodes)
         ringPtrs.push_back(r.get());
 
     LearnerConfig lcfg;
-    lcfg.snapshotEvery =
-        async.snapshotEvery > 0 ? async.snapshotEvery : 1;
     lcfg.checkpointDir = async.checkpointDir;
     lcfg.checkpointEveryUpdates = async.checkpointEveryUpdates;
     LearnerRunner learner(trainer, *store, ringPtrs, layout,
@@ -163,7 +160,6 @@ AsyncTrainLoop::run(std::size_t episodes)
     scfg.watchdogDeadlineMs = async.watchdogDeadlineMs;
     scfg.degradeAfterMs = async.degradeAfterMs;
     scfg.maxRestarts = async.maxActorRestarts;
-    scfg.restartBackoffMs = async.restartBackoffMs;
     Supervisor supervisor(scfg, control, injector);
     if (supervisorHook)
         supervisor.setPollHook(supervisorHook);

@@ -58,10 +58,6 @@ struct AsyncConfig
     std::size_t lanesPerActor = 1;
     /** Transition records per actor ring (rounded up to 2^k). */
     std::size_t ringCapacity = 4096;
-    /** Generated transitions per batched ring publish. */
-    std::size_t publishBatch = 8;
-    /** Learner updates between weight-snapshot publications. */
-    std::size_t snapshotEvery = 1;
 
     // Supervision policy (see SupervisorConfig).
     /** Actor-stall watchdog deadline; 0 disables stall detection. */
@@ -70,8 +66,6 @@ struct AsyncConfig
     std::uint64_t degradeAfterMs = 0;
     /** Crash restarts per actor before degrading it. */
     std::size_t maxActorRestarts = 2;
-    /** Backoff before the first restart; doubles per restart. */
-    std::uint64_t restartBackoffMs = 1;
 
     // Checkpointing (learner-side, rotating; see learner_runner.hh).
     /** Directory for latest/previous snapshots; empty disables. */

@@ -19,6 +19,14 @@ namespace marlin::async
 using profile::Phase;
 using profile::ScopedPhase;
 
+namespace
+{
+
+/** Max records drained per ring per cycle. */
+constexpr std::size_t drainChunk = 256;
+
+} // namespace
+
 LearnerRunner::LearnerRunner(
     core::CtdeTrainerBase &trainer_in,
     replay::ReplayStore &store_in,
@@ -80,7 +88,7 @@ LearnerRunner::drainRings()
         const Real *rec = nullptr;
         std::uint64_t seq = 0;
         std::uint64_t pushTimeNs = 0;
-        while (fromRing < learnerConfig.drainChunk &&
+        while (fromRing < drainChunk &&
                (rec = ring->front(&seq, &pushTimeNs)) != nullptr)
         {
             // Quarantine at the funnel: a NaN/Inf record is popped
@@ -268,19 +276,16 @@ LearnerRunner::run()
             _haveStats = true;
             ++updates;
             updated = true;
-            if (updates % learnerConfig.snapshotEvery == 0)
+            ++snapshotOrdinal;
+            if (injector != nullptr)
             {
-                ++snapshotOrdinal;
-                if (injector != nullptr)
-                {
-                    const std::uint64_t delayMs =
-                        injector->onSnapshotPublish(snapshotOrdinal);
-                    if (delayMs > 0)
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(delayMs));
-                }
-                snapshot.publish(trainer);
+                const std::uint64_t delayMs =
+                    injector->onSnapshotPublish(snapshotOrdinal);
+                if (delayMs > 0)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(delayMs));
             }
+            snapshot.publish(trainer);
             maybeCheckpoint(false);
             if (stats.nonFiniteCount > 0)
             {

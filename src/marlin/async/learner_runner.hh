@@ -28,11 +28,6 @@ namespace marlin::async
 /** Learner-side knobs, fixed for the run. */
 struct LearnerConfig
 {
-    /** Updates between weight-snapshot publications. */
-    std::size_t snapshotEvery = 1;
-    /** Max records drained per ring per cycle, so a fast producer
-     *  cannot starve the update cadence. */
-    std::size_t drainChunk = 256;
     /** Rotating checkpoint directory; empty disables. */
     std::string checkpointDir;
     /** Updates between checkpoints (0 disables periodic saves; a
@@ -106,8 +101,9 @@ class LearnerRunner
     bool haveStats() const { return _haveStats; }
 
   private:
-    /** Drain up to drainChunk records from each ring. @return count
-     *  of records consumed (inserted + quarantined). */
+    /** Drain a bounded chunk from each ring, so a fast producer
+     *  cannot starve the update cadence. @return count of records
+     *  consumed (inserted + quarantined). */
     std::size_t drainRings();
 
     /** True when any of the record's stride Reals is NaN/Inf. */

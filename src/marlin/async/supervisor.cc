@@ -8,6 +8,16 @@
 namespace marlin::async
 {
 
+namespace
+{
+
+/** Backoff before an actor's first restart; doubles per restart. */
+constexpr std::uint64_t restartBackoffMs = 1;
+/** Monitor poll period. */
+constexpr std::uint64_t pollMs = 2;
+
+} // namespace
+
 Supervisor::Supervisor(SupervisorConfig config_in,
                        RunControl &control_in,
                        base::FaultInjector *injector_in)
@@ -23,8 +33,13 @@ Supervisor::Supervisor(SupervisorConfig config_in,
 {
     if (config.degradeAfterMs == 0)
         config.degradeAfterMs = 4 * config.watchdogDeadlineMs;
-    if (config.pollMs == 0)
-        config.pollMs = 1;
+    if (injector != nullptr)
+    {
+        for (std::size_t k = 0; k < base::numFaultKinds; ++k)
+            faultCounters[k] = &obs::Registry::instance().counter(
+                std::string("fault.") +
+                base::faultKindName(static_cast<base::FaultKind>(k)));
+    }
 }
 
 void
@@ -35,8 +50,7 @@ Supervisor::addActor(std::string name, ActorRunner *runner,
     slot->name = std::move(name);
     slot->runner = runner;
     slot->ring = ring;
-    slot->backoffMs =
-        config.restartBackoffMs > 0 ? config.restartBackoffMs : 1;
+    slot->backoffMs = restartBackoffMs;
     runner->setHeartbeat(&slot->heartbeat);
     if (injector != nullptr)
         runner->setFaultInjector(injector);
@@ -201,12 +215,12 @@ Supervisor::superviseUntilDone()
             if (!slot->settled)
                 allSettled = false;
         }
+        publishFaultCounters();
         if (pollHook)
             pollHook();
         if (allSettled)
             break;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(config.pollMs));
+        std::this_thread::sleep_for(std::chrono::milliseconds(pollMs));
     }
     publishFaultCounters();
 }
@@ -221,21 +235,16 @@ Supervisor::restarts() const
 }
 
 void
-Supervisor::publishFaultCounters() const
+Supervisor::publishFaultCounters()
 {
-    auto &registry = obs::Registry::instance();
-    if (injector != nullptr)
+    if (injector == nullptr)
+        return;
+    for (std::size_t k = 0; k < base::numFaultKinds; ++k)
     {
-        for (std::size_t k = 0; k < base::numFaultKinds; ++k)
-        {
-            const auto kind = static_cast<base::FaultKind>(k);
-            const std::uint64_t count = injector->tripCount(kind);
-            if (count > 0)
-                registry
-                    .counter(std::string("fault.") +
-                             base::faultKindName(kind))
-                    .add(count);
-        }
+        const std::uint64_t count =
+            injector->tripCount(static_cast<base::FaultKind>(k));
+        faultCounters[k]->add(count - faultPublished[k]);
+        faultPublished[k] = count;
     }
 }
 

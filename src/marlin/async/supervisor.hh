@@ -37,6 +37,7 @@
 #ifndef MARLIN_ASYNC_SUPERVISOR_HH
 #define MARLIN_ASYNC_SUPERVISOR_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -64,10 +65,6 @@ struct SupervisorConfig
     std::uint64_t degradeAfterMs = 0;
     /** Restarts per actor before it is degraded instead. */
     std::size_t maxRestarts = 2;
-    /** Backoff before the first restart; doubles per restart. */
-    std::uint64_t restartBackoffMs = 1;
-    /** Monitor poll period. */
-    std::uint64_t pollMs = 2;
 };
 
 /**
@@ -86,9 +83,10 @@ class Supervisor
      * supervisor.watchdog_trips and supervisor.learner_failures, so
      * they are exported (at 0) before the first event.
      *
-     * @param injector Optional chaos source; its per-kind trip
-     *        counts are mirrored to the obs registry at the end of
-     *        the run ("fault.kill-actor", ...).
+     * @param injector Optional chaos source; when given, its
+     *        per-kind trip counts are mirrored to the obs registry
+     *        ("fault.kill-actor", ...) on every monitor tick, so
+     *        they are live like the supervisor.* counters.
      */
     Supervisor(SupervisorConfig config, RunControl &control,
                base::FaultInjector *injector = nullptr);
@@ -104,8 +102,8 @@ class Supervisor
     void start();
 
     /**
-     * Invoked once per monitor tick (every pollMs) from the
-     * watchdog thread — the designated idle thread of an async run.
+     * Invoked once per monitor tick from the watchdog thread — the
+     * designated idle thread of an async run.
      * The CLI mounts its --stats-port /metrics endpoint here, so
      * live scrapes are served without adding a thread and without
      * ever touching the actor/learner hot paths (scrape rendering
@@ -121,7 +119,8 @@ class Supervisor
      * Monitor loop (the watchdog): poll heartbeats and thread
      * states, apply restart/degrade/halt policy, and return once
      * every thread has been joined. The injector's fault.<kind>
-     * trip counts are published before returning.
+     * trip counts are published on every tick, before the poll
+     * hook, and once more before returning.
      */
     void superviseUntilDone();
 
@@ -159,7 +158,9 @@ class Supervisor
     /** Stall policy for @p slot (its thread is alive). */
     void checkActorStall(ActorSlot &slot);
 
-    void publishFaultCounters() const;
+    /** Add each fault kind's trips since the previous call to its
+     *  fault.<kind> counter (no-op without an injector). */
+    void publishFaultCounters();
 
     SupervisorConfig config;
     RunControl &control;
@@ -183,6 +184,10 @@ class Supervisor
     obs::Counter &degradationsCounter;
     obs::Counter &tripsCounter;
     obs::Counter &learnerFailuresCounter;
+    /** fault.<kind>, resolved only when an injector is attached. */
+    std::array<obs::Counter *, base::numFaultKinds> faultCounters{};
+    /** Trips per kind already added to faultCounters. */
+    std::array<std::uint64_t, base::numFaultKinds> faultPublished{};
 };
 
 } // namespace marlin::async

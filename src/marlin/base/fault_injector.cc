@@ -22,15 +22,6 @@ faultKindName(FaultKind kind)
     return "unknown";
 }
 
-StepCount
-FaultInjector::armKillAtRandomStep(StepCount lo, StepCount hi)
-{
-    MARLIN_ASSERT(lo <= hi, "kill-step range must satisfy lo <= hi");
-    const StepCount step = lo + rng.randint(hi - lo + 1);
-    armKillAtStep(step);
-    return step;
-}
-
 bool
 FaultInjector::onStep()
 {
@@ -54,13 +45,6 @@ FaultInjector::onWrite()
         return false;
     }
     return true;
-}
-
-void
-FaultInjector::disarm()
-{
-    killArmed.store(false, std::memory_order_release);
-    failArmed.store(false, std::memory_order_release);
 }
 
 void
@@ -193,35 +177,6 @@ FaultInjector::parseChaosSpec(const std::string &spec,
 }
 
 std::vector<FaultEvent>
-FaultInjector::scheduleRandomChaos(std::size_t num_actors,
-                                   std::uint64_t max_step,
-                                   std::size_t events)
-{
-    MARLIN_ASSERT(num_actors > 0, "chaos needs >= 1 actor");
-    MARLIN_ASSERT(max_step > 0, "chaos needs a positive step range");
-    std::vector<FaultEvent> generated;
-    generated.reserve(events);
-    for (std::size_t i = 0; i < events; ++i)
-    {
-        FaultEvent event;
-        switch (rng.randint(3))
-        {
-        case 0: event.kind = FaultKind::KillActor; break;
-        case 1: event.kind = FaultKind::StallActor; break;
-        default: event.kind = FaultKind::CorruptTransition; break;
-        }
-        event.actorId =
-            static_cast<std::size_t>(rng.randint(num_actors));
-        event.atStep = 1 + rng.randint(max_step);
-        if (event.kind == FaultKind::StallActor)
-            event.millis = 1 + rng.randint(20);
-        scheduleFault(event);
-        generated.push_back(event);
-    }
-    return generated;
-}
-
-std::vector<FaultEvent>
 FaultInjector::scheduledFaults() const
 {
     std::vector<FaultEvent> out;
@@ -303,15 +258,6 @@ FaultInjector::onSnapshotPublish(std::uint64_t ordinal)
             delayMs += slot.event.millis;
     }
     return delayMs;
-}
-
-std::uint64_t
-FaultInjector::tripTotal() const
-{
-    std::uint64_t total = 0;
-    for (const auto &t : trips)
-        total += t.load(std::memory_order_relaxed);
-    return total;
 }
 
 bool

@@ -7,7 +7,7 @@
  * through, bytes rot on disk — and, once the runtime is multi-
  * threaded, an actor thread crashes, wedges, or emits poisoned
  * transitions. FaultInjector reproduces all of them on demand,
- * seeded so a failing test replays bit-identically:
+ * at fixed points so a failing test replays bit-identically:
  *
  *  - kill-at-step-N: the training loop polls onStep() once per
  *    environment step and abandons the run when the armed step is
@@ -43,7 +43,7 @@
 #include <string>
 #include <vector>
 
-#include "marlin/base/random.hh"
+#include "marlin/base/types.hh"
 
 namespace marlin::base
 {
@@ -101,12 +101,10 @@ class InjectedFault : public std::runtime_error
     }
 };
 
-/** Seeded, reproducible source of injected faults. */
+/** Reproducible source of injected faults. */
 class FaultInjector
 {
   public:
-    explicit FaultInjector(std::uint64_t seed = 0) : rng(seed) {}
-
     /** Arm a simulated kill at absolute environment step @p step. */
     void
     armKillAtStep(StepCount step)
@@ -116,25 +114,11 @@ class FaultInjector
     }
 
     /**
-     * Arm a kill at a step drawn uniformly from [lo, hi] using the
-     * injector's own seeded stream.
-     * @return The chosen step, for test logging.
-     */
-    StepCount armKillAtRandomStep(StepCount lo, StepCount hi);
-
-    /**
      * Training-loop hook, called once per environment step.
      * @return true exactly when the armed kill step is reached (the
      *         caller must then abandon the run without cleanup).
      */
     bool onStep();
-
-    /** Steps observed so far (survives disarm). */
-    StepCount
-    stepsObserved() const
-    {
-        return steps.load(std::memory_order_relaxed);
-    }
 
     /** Arm a failure of the @p kth stream write (1-based). */
     void
@@ -150,17 +134,6 @@ class FaultInjector
      *         must fail.
      */
     bool onWrite();
-
-    std::uint64_t
-    writesObserved() const
-    {
-        return writes.load(std::memory_order_relaxed);
-    }
-
-    /** Disarm the kill/write faults (counters keep running; the
-     *  chaos schedule is one-shot and fixed once threads start, so
-     *  it is not touched). */
-    void disarm();
 
     // --- Chaos schedule (async runtime) ---------------------------
 
@@ -183,17 +156,6 @@ class FaultInjector
      */
     bool parseChaosSpec(const std::string &spec,
                         std::string *error = nullptr);
-
-    /**
-     * Schedule @p events random actor faults (kill/stall/corrupt,
-     * uniform) over @p num_actors actors and local steps
-     * [1, max_step], drawn from the injector's seeded stream.
-     * Stalls last 1-20 ms. @return the generated schedule, for
-     * test logging.
-     */
-    std::vector<FaultEvent>
-    scheduleRandomChaos(std::size_t num_actors, std::uint64_t max_step,
-                        std::size_t events);
 
     /** Scheduled events (armed + already fired), for logging. */
     std::vector<FaultEvent> scheduledFaults() const;
@@ -230,9 +192,6 @@ class FaultInjector
             std::memory_order_relaxed);
     }
 
-    /** Total fired events over all kinds. */
-    std::uint64_t tripTotal() const;
-
   private:
     struct ScheduledFault
     {
@@ -246,7 +205,6 @@ class FaultInjector
     /** CAS @p slot unfired->fired; counts the trip on success. */
     bool tryFire(ScheduledFault &slot);
 
-    Rng rng;
     std::atomic<StepCount> killStep{0};
     std::atomic<bool> killArmed{false};
     std::atomic<StepCount> steps{0};

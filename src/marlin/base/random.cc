@@ -1,7 +1,6 @@
 #include "marlin/base/random.hh"
 
 #include <cmath>
-#include <numeric>
 
 #include "marlin/base/logging.hh"
 
@@ -109,14 +108,6 @@ Rng::gaussian(double mu, double sigma)
     return mu + sigma * gaussian();
 }
 
-std::vector<BufferIndex>
-Rng::sampleIndices(BufferIndex n, std::size_t count)
-{
-    std::vector<BufferIndex> out;
-    sampleIndicesInto(n, count, out);
-    return out;
-}
-
 void
 Rng::sampleIndicesInto(BufferIndex n, std::size_t count,
                        std::vector<BufferIndex> &out)
@@ -125,22 +116,6 @@ Rng::sampleIndicesInto(BufferIndex n, std::size_t count,
     out.resize(count);
     for (auto &idx : out)
         idx = static_cast<BufferIndex>(randint(n));
-}
-
-std::vector<BufferIndex>
-Rng::sampleIndicesDistinct(BufferIndex n, std::size_t count)
-{
-    MARLIN_ASSERT(count <= n,
-                  "distinct sample count exceeds population size");
-    // Partial Fisher-Yates: O(n) memory but only `count` swaps.
-    std::vector<BufferIndex> pool(n);
-    std::iota(pool.begin(), pool.end(), BufferIndex{0});
-    for (std::size_t i = 0; i < count; ++i) {
-        std::size_t j = i + static_cast<std::size_t>(randint(n - i));
-        std::swap(pool[i], pool[j]);
-    }
-    pool.resize(count);
-    return pool;
 }
 
 RngState

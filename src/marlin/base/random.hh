@@ -97,30 +97,15 @@ class Rng
     double gaussian(double mu, double sigma);
 
     /**
-     * Sample @p count indices uniformly from [0, n) with replacement.
-     * This mirrors the mini-batch index draw of the baseline MARL
-     * sampling phase (random.sample over the buffer in the paper's
-     * Algorithm 1 pseudo-code; reference implementations sample with
+     * Sample @p count indices uniformly from [0, n) with replacement
+     * into caller-owned storage (capacity-retaining). This mirrors
+     * the mini-batch index draw of the baseline MARL sampling phase
+     * (random.sample over the buffer in the paper's Algorithm 1
+     * pseudo-code; reference implementations sample with
      * replacement).
-     */
-    std::vector<BufferIndex> sampleIndices(BufferIndex n,
-                                           std::size_t count);
-
-    /**
-     * sampleIndices into caller-owned storage (capacity-retaining).
-     * Draw order and count are identical to sampleIndices, so the
-     * two produce the same stream state and the same indices.
      */
     void sampleIndicesInto(BufferIndex n, std::size_t count,
                            std::vector<BufferIndex> &out);
-
-    /**
-     * Sample @p count distinct indices from [0, n) without
-     * replacement (partial Fisher-Yates over a temporary).
-     * @pre count <= n.
-     */
-    std::vector<BufferIndex> sampleIndicesDistinct(BufferIndex n,
-                                                   std::size_t count);
 
     /** Snapshot the full generator state for checkpointing. */
     RngState state() const;

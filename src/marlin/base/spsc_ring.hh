@@ -16,9 +16,9 @@
  *  - batched publish: a producer may stage several slots and make
  *    them visible with a single release store.
  *
- * SpscIndexRing owns only the index arithmetic; SpscRing<T> adds
- * typed storage. The replay layer builds its variable-stride
- * transition ring (replay/transition_ring.hh) on SpscIndexRing.
+ * SpscIndexRing owns only the index arithmetic; the replay layer
+ * builds its fixed-stride transition ring (replay/transition_ring.hh)
+ * on it.
  */
 
 #ifndef MARLIN_BASE_SPSC_RING_HH
@@ -27,8 +27,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
-#include <vector>
 
 namespace marlin::base
 {
@@ -147,89 +145,6 @@ class SpscIndexRing
     std::uint64_t cachedTail = 0;
 
     std::size_t cap;
-};
-
-/**
- * Typed bounded SPSC queue of trivially copyable values. Push never
- * blocks: a full ring rejects the value and the caller decides what
- * dropping means (the transition ring counts it; see
- * replay/transition_ring.hh).
- */
-template <typename T>
-class SpscRing
-{
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "SpscRing elements must be trivially copyable");
-
-  public:
-    explicit SpscRing(std::size_t capacity_hint)
-        : idx(capacity_hint), slots(idx.capacity())
-    {
-    }
-
-    std::size_t capacity() const { return idx.capacity(); }
-
-    /** Producer: push one value; false when the ring is full. */
-    bool
-    tryPush(const T &v) noexcept
-    {
-        if (idx.producerFree(0) == 0)
-            return false;
-        slots[idx.producerPos() & idx.mask()] = v;
-        idx.publish(1);
-        return true;
-    }
-
-    /**
-     * Producer: copy up to @p n values from @p src, publishing them
-     * with one release store. @return values actually enqueued.
-     */
-    std::size_t
-    pushBatch(const T *src, std::size_t n) noexcept
-    {
-        std::size_t free = idx.producerFree(0);
-        if (free > n)
-            free = n;
-        for (std::size_t i = 0; i < free; ++i)
-            slots[(idx.producerPos() + i) & idx.mask()] = src[i];
-        idx.publish(free);
-        return free;
-    }
-
-    /** Consumer: pop one value; false when the ring is empty. */
-    bool
-    tryPop(T &out) noexcept
-    {
-        if (idx.consumerAvailable() == 0)
-            return false;
-        out = slots[idx.consumerPos() & idx.mask()];
-        idx.consume(1);
-        return true;
-    }
-
-    /**
-     * Consumer: copy up to @p n values into @p dst, retiring them
-     * with one release store. @return values actually dequeued.
-     */
-    std::size_t
-    popBatch(T *dst, std::size_t n) noexcept
-    {
-        std::size_t avail = idx.consumerAvailable();
-        if (avail > n)
-            avail = n;
-        for (std::size_t i = 0; i < avail; ++i)
-            dst[i] = slots[(idx.consumerPos() + i) & idx.mask()];
-        idx.consume(avail);
-        return avail;
-    }
-
-    /** Any thread: approximate occupancy. */
-    std::size_t size() const noexcept { return idx.size(); }
-    bool empty() const noexcept { return size() == 0; }
-
-  private:
-    SpscIndexRing idx;
-    std::vector<T> slots;
 };
 
 } // namespace marlin::base

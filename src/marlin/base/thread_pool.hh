@@ -4,8 +4,8 @@
  *
  * The paper's characterization shows "update all trainers" dominating
  * end-to-end time and growing with agent count; the work inside it
- * (per-agent critic/actor updates, GEMM row blocks, vector-env lanes)
- * is embarrassingly parallel over disjoint outputs. ThreadPool
+ * (per-agent critic/actor updates, GEMM row blocks) is
+ * embarrassingly parallel over disjoint outputs. ThreadPool
  * exposes exactly that shape: a blocking parallelFor over an index
  * range, statically partitioned so every index computes the same
  * floating-point operations in the same order regardless of thread

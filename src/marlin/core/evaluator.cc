@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "marlin/base/logging.hh"
 
@@ -9,7 +10,7 @@ namespace marlin::core
 {
 
 EvalResult
-evaluate(env::Environment &environment, Trainer &trainer,
+evaluate(env::Environment &environment, CtdeTrainerBase &trainer,
          std::size_t episodes, std::size_t episode_length)
 {
     MARLIN_ASSERT(episodes > 0, "evaluate needs at least one episode");
@@ -21,19 +22,20 @@ evaluate(env::Environment &environment, Trainer &trainer,
     const std::size_t n = environment.numAgents();
     result.perAgentMean.assign(n, Real(0));
 
+    std::vector<std::vector<Real>> obs;
+    env::StepResult step;
     for (std::size_t e = 0; e < episodes; ++e) {
-        auto obs = environment.reset();
+        environment.resetInto(obs);
         Real episode_return = 0;
         std::vector<Real> agent_return(n, Real(0));
         for (std::size_t t = 0; t < episode_length; ++t) {
-            const auto actions = trainer.greedyActions(obs);
-            auto step = environment.step(actions);
+            environment.stepInto(trainer.greedyActions(obs), step);
             for (std::size_t i = 0; i < n; ++i) {
                 agent_return[i] += step.rewards[i];
                 episode_return +=
                     step.rewards[i] / static_cast<Real>(n);
             }
-            obs = std::move(step.observations);
+            std::swap(obs, step.observations);
         }
         result.episodeReturns.push_back(episode_return);
         for (std::size_t i = 0; i < n; ++i)

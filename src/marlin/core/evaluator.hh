@@ -9,7 +9,7 @@
 #ifndef MARLIN_CORE_EVALUATOR_HH
 #define MARLIN_CORE_EVALUATOR_HH
 
-#include "marlin/core/trainer.hh"
+#include "marlin/core/maddpg.hh"
 #include "marlin/env/environment.hh"
 
 namespace marlin::core
@@ -33,8 +33,8 @@ struct EvalResult
  *
  * @param episode_length Steps per episode (paper: 25).
  */
-EvalResult evaluate(env::Environment &environment, Trainer &trainer,
-                    std::size_t episodes,
+EvalResult evaluate(env::Environment &environment,
+                    CtdeTrainerBase &trainer, std::size_t episodes,
                     std::size_t episode_length = 25);
 
 } // namespace marlin::core

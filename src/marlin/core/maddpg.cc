@@ -145,7 +145,8 @@ CtdeTrainerBase::greedyActions(
     for (std::size_t i = 0; i < obs.size(); ++i) {
         Matrix x(1, obsDims[i],
                  std::vector<Real>(obs[i].begin(), obs[i].end()));
-        Matrix logits = nets[i]->actor.forward(x);
+        Matrix logits;
+        nets[i]->actor.forward(x, logits);
         actions[i] =
             static_cast<int>(numeric::argmaxRows(logits)[0]);
     }
@@ -187,7 +188,8 @@ CtdeTrainerBase::greedyContinuousActions(
     for (std::size_t i = 0; i < obs.size(); ++i) {
         Matrix x(1, obsDims[i],
                  std::vector<Real>(obs[i].begin(), obs[i].end()));
-        Matrix a = nets[i]->actor.forward(x);
+        Matrix a;
+        nets[i]->actor.forward(x, a);
         actions[i] = {a(0, 0), a(0, 1)};
     }
     return actions;

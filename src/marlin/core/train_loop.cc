@@ -87,7 +87,8 @@ makeStepRecord(std::uint64_t episode, std::uint64_t env_step,
 }
 
 TrainLoop::TrainLoop(env::Environment &environment_in,
-                     Trainer &trainer_in, TrainConfig config_in)
+                     CtdeTrainerBase &trainer_in,
+                     TrainConfig config_in)
     : environment(environment_in), trainer(trainer_in),
       config(std::move(config_in)),
       store(makeReplayStore(config, shapesFor(environment, config)))
@@ -100,9 +101,6 @@ void
 TrainLoop::setCheckpointing(CheckpointOptions options)
 {
     if (!options.dir.empty()) {
-        MARLIN_ASSERT(
-            dynamic_cast<CtdeTrainerBase *>(&trainer) != nullptr,
-            "checkpointing requires a CtdeTrainerBase trainer");
         MARLIN_ASSERT(options.everyEpisodes > 0,
                       "checkpoint cadence must be at least 1");
     }
@@ -138,10 +136,10 @@ TrainLoop::maybeEmitTelemetry(const TrainResult &result)
 }
 
 RunState
-TrainLoop::runState(CtdeTrainerBase *ctde)
+TrainLoop::runState()
 {
     RunState state;
-    state.trainer = ctde;
+    state.trainer = &trainer;
     state.replay = store.get();
     state.environment = &environment;
     state.progress = &progress;
@@ -187,7 +185,6 @@ TrainLoop::run(std::size_t episodes, const EpisodeCallback &callback)
     TrainResult result;
     const std::size_t n = environment.numAgents();
     const bool checkpointing = !ckptOptions.dir.empty();
-    auto *ctde = dynamic_cast<CtdeTrainerBase *>(&trainer);
 
     if (config.healthPolicy == HealthGuardPolicy::Rollback &&
         !checkpointing) {
@@ -197,7 +194,7 @@ TrainLoop::run(std::size_t episodes, const EpisodeCallback &callback)
 
     if (checkpointing && ckptOptions.resume) {
         const CkptResult resumed =
-            resumeLatest(ckptOptions.dir, runState(ctde));
+            resumeLatest(ckptOptions.dir, runState());
         if (resumed) {
             result.resumedFromEpisode =
                 static_cast<std::size_t>(progress.episodeIndex);
@@ -382,7 +379,7 @@ TrainLoop::run(std::size_t episodes, const EpisodeCallback &callback)
                         --rollbacks_left;
                         ++result.rollbacks;
                         const CkptResult restored = resumeLatest(
-                            ckptOptions.dir, runState(ctde));
+                            ckptOptions.dir, runState());
                         if (!restored) {
                             warn("rollback found no usable "
                                  "checkpoint (%s): halting",
@@ -412,12 +409,12 @@ TrainLoop::run(std::size_t episodes, const EpisodeCallback &callback)
         progress.episodeRewards.push_back(episode_reward);
         ++progress.episodeIndex;
         if (callback)
-            callback({episode, episode_reward, 0});
+            callback({episode, episode_reward});
 
         if (checkpointing &&
             progress.episodeIndex % ckptOptions.everyEpisodes == 0) {
             const CkptResult saved = saveRotating(
-                ckptOptions.dir, runState(ctde), injector);
+                ckptOptions.dir, runState(), injector);
             if (!saved) {
                 warn("checkpoint at episode %llu failed (%s: %s); "
                      "training continues on the previous snapshot",

@@ -18,7 +18,6 @@
 #include <memory>
 
 #include "marlin/core/checkpoint.hh"
-#include "marlin/core/trainer.hh"
 #include "marlin/env/environment.hh"
 #include "marlin/obs/telemetry.hh"
 
@@ -68,7 +67,6 @@ struct EpisodeInfo
 {
     std::size_t episode = 0;
     Real meanReward = 0;
-    Real epsilonUnused = 0;
 };
 
 using EpisodeCallback = std::function<void(const EpisodeInfo &)>;
@@ -116,13 +114,10 @@ class TrainLoop
      * @param trainer MADDPG/MATD3 trainer (not owned).
      * @param config Must match the trainer's config.
      */
-    TrainLoop(env::Environment &environment, Trainer &trainer,
+    TrainLoop(env::Environment &environment, CtdeTrainerBase &trainer,
               TrainConfig config);
 
-    /**
-     * Enable rotating full-state checkpoints. Requires a trainer
-     * derived from CtdeTrainerBase (both shipped algorithms are).
-     */
+    /** Enable rotating full-state checkpoints. */
     void setCheckpointing(CheckpointOptions options);
 
     /**
@@ -157,15 +152,9 @@ class TrainLoop
     /** The replay storage the trainer samples from. */
     const replay::ReplayStore &replayStore() const { return *store; }
 
-    /** Episodes completed so far (survives checkpoint/resume). */
-    std::size_t episodesCompleted() const
-    {
-        return static_cast<std::size_t>(progress.episodeIndex);
-    }
-
   private:
     env::Environment &environment;
-    Trainer &trainer;
+    CtdeTrainerBase &trainer;
     TrainConfig config;
     /** The one replay store (see makeReplayStore; never null). */
     std::unique_ptr<replay::ReplayStore> store;
@@ -209,7 +198,7 @@ class TrainLoop
     std::vector<std::vector<Real>> onehotScratch;
 
     /** RunState bundle over this loop's members. */
-    RunState runState(CtdeTrainerBase *ctde);
+    RunState runState();
 
     /** Fill result from progress and compute the final score. */
     TrainResult &finish(TrainResult &result);

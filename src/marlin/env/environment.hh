@@ -32,7 +32,7 @@ struct StepResult
  *
  * The trainer controls the first learnableAgents() agents with
  * discrete actions; any scripted agents (e.g. prey) are driven by
- * the scenario's policy inside step().
+ * the scenario's policy inside stepInto().
  */
 class Environment
 {
@@ -64,14 +64,6 @@ class Environment
      */
     void resetInto(std::vector<std::vector<Real>> &obs);
 
-    /** Convenience by-value form of resetInto. */
-    std::vector<std::vector<Real>> reset()
-    {
-        std::vector<std::vector<Real>> obs;
-        resetInto(obs);
-        return obs;
-    }
-
     /**
      * Apply one discrete action per learnable agent, script the
      * remaining agents, advance physics, and write observations,
@@ -81,14 +73,6 @@ class Environment
      */
     void stepInto(const std::vector<int> &actions, StepResult &result);
 
-    /** Convenience by-value form of stepInto. */
-    StepResult step(const std::vector<int> &actions)
-    {
-        StepResult result;
-        stepInto(actions, result);
-        return result;
-    }
-
     /**
      * Continuous-control variant: apply one 2D force per learnable
      * agent (each component clamped to [-1, 1]); scripted agents
@@ -97,19 +81,12 @@ class Environment
     void stepContinuousInto(const std::vector<Vec2> &forces,
                             StepResult &result);
 
-    /** Convenience by-value form of stepContinuousInto. */
-    StepResult stepContinuous(const std::vector<Vec2> &forces)
-    {
-        StepResult result;
-        stepContinuousInto(forces, result);
-        return result;
-    }
-
     /**
      * Snapshot / restore the environment RNG stream. At an episode
-     * boundary this is the environment's only live state (reset()
-     * rebuilds the world from the stream), so checkpointing it makes
-     * resumed runs replay resets bit-identically.
+     * boundary this is the environment's only live state
+     * (resetInto() rebuilds the world from the stream), so
+     * checkpointing it makes resumed runs replay resets
+     * bit-identically.
      */
     RngState rngState() const { return rng.state(); }
     void setRngState(const RngState &state) { rng.setState(state); }

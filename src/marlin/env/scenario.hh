@@ -52,15 +52,6 @@ class Scenario
     virtual void observationInto(const World &world, std::size_t i,
                                  Real *out) const = 0;
 
-    /** Convenience by-value form of observationInto. */
-    std::vector<Real>
-    observation(const World &world, std::size_t i) const
-    {
-        std::vector<Real> out(observationDim(i));
-        observationInto(world, i, out.data());
-        return out;
-    }
-
     /** Observation dimensionality for agent @p i. */
     virtual std::size_t observationDim(std::size_t i) const = 0;
 

@@ -30,7 +30,6 @@
 #include "marlin/env/environment.hh"
 #include "marlin/env/physical_deception.hh"
 #include "marlin/env/predator_prey.hh"
-#include "marlin/env/vector_env.hh"
 #include "marlin/memsim/platform.hh"
 #include "marlin/memsim/trace_replay.hh"
 #include "marlin/numeric/kernels.hh"

@@ -13,7 +13,8 @@ namespace
 double
 lossAt(Mlp &net, const Matrix &x, const Matrix &target)
 {
-    Matrix pred = net.forward(x);
+    Matrix pred;
+    net.forward(x, pred);
     Matrix grad_unused;
     return mseLoss(pred, target, grad_unused);
 }
@@ -38,7 +39,8 @@ checkMlpGradients(Mlp &net, const Matrix &x, const Matrix &target,
     GradCheckResult res;
     // Analytic pass.
     net.zeroGrad();
-    Matrix pred = net.forward(x);
+    Matrix pred;
+    net.forward(x, pred);
     Matrix dloss;
     mseLoss(pred, target, dloss);
     net.backward(x, dloss);
@@ -66,7 +68,8 @@ checkInputGradients(Mlp &net, const Matrix &x, const Matrix &target,
 {
     GradCheckResult res;
     net.zeroGrad();
-    Matrix pred = net.forward(x);
+    Matrix pred;
+    net.forward(x, pred);
     Matrix dloss;
     mseLoss(pred, target, dloss);
     Matrix dx;

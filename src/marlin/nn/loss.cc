@@ -64,14 +64,6 @@ policyLoss(const Matrix &q, Matrix &grad)
     return static_cast<Real>(-total / static_cast<double>(n));
 }
 
-std::vector<Real>
-absTdError(const Matrix &pred, const Matrix &target)
-{
-    std::vector<Real> out;
-    absTdErrorInto(pred, target, out);
-    return out;
-}
-
 void
 absTdErrorInto(const Matrix &pred, const Matrix &target,
                std::vector<Real> &out)

@@ -44,11 +44,8 @@ Real policyLoss(const Matrix &q, Matrix &grad);
 
 /**
  * Per-row absolute TD error |pred - target|, used to refresh
- * priorities in PER.
+ * priorities in PER, into caller-owned storage (capacity-retaining).
  */
-std::vector<Real> absTdError(const Matrix &pred, const Matrix &target);
-
-/** absTdError into caller-owned storage (capacity-retaining). */
 void absTdErrorInto(const Matrix &pred, const Matrix &target,
                     std::vector<Real> &out);
 

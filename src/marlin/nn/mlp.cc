@@ -72,14 +72,6 @@ Mlp::forward(const Matrix &x, Matrix &y)
     y = postact[last];
 }
 
-Matrix
-Mlp::forward(const Matrix &x)
-{
-    Matrix y;
-    forward(x, y);
-    return y;
-}
-
 const Matrix &
 Mlp::activationBackward(std::size_t i, const Matrix &grad_y)
 {

@@ -53,9 +53,6 @@ class Mlp
      */
     void forward(const Matrix &x, Matrix &y);
 
-    /** Convenience: forward returning the output by value. */
-    Matrix forward(const Matrix &x);
-
     /**
      * Backpropagate dL/dy, accumulating parameter gradients;
      * optionally produce dL/dx. Without @p grad_x the first layer's

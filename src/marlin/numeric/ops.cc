@@ -33,14 +33,6 @@ scale(const Matrix &a, Real factor)
     return out;
 }
 
-Matrix
-sumRows(const Matrix &m)
-{
-    Matrix out;
-    sumRowsInto(m, out);
-    return out;
-}
-
 void
 sumRowsInto(const Matrix &m, Matrix &out)
 {
@@ -122,15 +114,6 @@ softmaxBackwardRows(const Matrix &softmax_out, const Matrix &grad_out,
     }
 }
 
-std::vector<std::size_t>
-gumbelArgmaxRows(const Matrix &logits, Rng &rng)
-{
-    std::vector<std::size_t> picks(logits.rows());
-    for (std::size_t r = 0; r < logits.rows(); ++r)
-        picks[r] = gumbelArgmaxRow(logits, r, rng);
-    return picks;
-}
-
 std::size_t
 gumbelArgmaxRow(const Matrix &logits, std::size_t row, Rng &rng)
 {
@@ -160,14 +143,6 @@ argmaxRows(const Matrix &m)
             std::max_element(row, row + m.cols()) - row);
     }
     return picks;
-}
-
-Matrix
-hconcat(const std::vector<const Matrix *> &parts)
-{
-    Matrix out;
-    hconcatInto(parts, out);
-    return out;
 }
 
 void

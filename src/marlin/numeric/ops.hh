@@ -25,12 +25,9 @@ Matrix sub(const Matrix &a, const Matrix &b);
 /** out = a * scale. */
 Matrix scale(const Matrix &a, Real factor);
 
-/** Sum of rows -> 1 x cols matrix (bias gradient reduction). */
-Matrix sumRows(const Matrix &m);
-
 /**
- * sumRows into caller-owned storage (capacity-retaining; identical
- * reduction order, so results match sumRows bit-for-bit).
+ * Sum of rows -> 1 x cols matrix (bias gradient reduction), into
+ * caller-owned storage (capacity-retaining).
  */
 void sumRowsInto(const Matrix &m, Matrix &out);
 
@@ -58,15 +55,9 @@ void softmaxBackwardRows(const Matrix &softmax_out,
                          const Matrix &grad_out, Matrix &grad_in);
 
 /**
- * Gumbel-softmax style discrete action sampling: adds Gumbel noise to
- * each row of logits and returns per-row argmax indices.
- */
-std::vector<std::size_t> gumbelArgmaxRows(const Matrix &logits, Rng &rng);
-
-/**
- * Single-row Gumbel argmax: identical RNG draw order and arithmetic
- * as gumbelArgmaxRows restricted to @p row, without allocating the
- * result vector (hot per-step action selection).
+ * Gumbel-softmax style discrete action sampling for one row: adds
+ * Gumbel noise to each logit of @p row and returns the argmax column
+ * (hot per-step action selection; allocates nothing).
  */
 std::size_t gumbelArgmaxRow(const Matrix &logits, std::size_t row,
                             Rng &rng);
@@ -75,15 +66,11 @@ std::size_t gumbelArgmaxRow(const Matrix &logits, std::size_t row,
 std::vector<std::size_t> argmaxRows(const Matrix &m);
 
 /**
- * Horizontal concatenation: out = [a | b | ...]. All inputs must
- * share a row count. Used to build joint observation-action inputs
- * for the centralized critic.
- */
-Matrix hconcat(const std::vector<const Matrix *> &parts);
-
-/**
- * hconcat into caller-owned storage (capacity-retaining; the output
- * is fully overwritten, so no zero-fill happens).
+ * Horizontal concatenation into caller-owned storage:
+ * out = [a | b | ...]. All inputs must share a row count. Used to
+ * build joint observation-action inputs for the centralized critic.
+ * Capacity-retaining; the output is fully overwritten, so no
+ * zero-fill happens.
  */
 void hconcatInto(const std::vector<const Matrix *> &parts,
                  Matrix &out);

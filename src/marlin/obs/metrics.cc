@@ -55,40 +55,6 @@ Histogram::totalCount() const noexcept
     return total;
 }
 
-double
-Histogram::quantile(double q) const noexcept
-{
-    const std::uint64_t total = totalCount();
-    if (total == 0)
-        return 0.0;
-    const double rank = q * static_cast<double>(total);
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i)
-    {
-        const std::uint64_t inBucket =
-            counts[i].load(std::memory_order_relaxed);
-        if (static_cast<double>(cumulative + inBucket) < rank)
-        {
-            cumulative += inBucket;
-            continue;
-        }
-        // Landing bucket. The overflow bucket has no upper bound;
-        // clamp to the last finite bound (Prometheus reports the
-        // same).
-        if (i >= bounds.size())
-            return bounds.empty() ? 0.0 : bounds.back();
-        const double hi = bounds[i];
-        const double lo = i == 0 ? 0.0 : bounds[i - 1];
-        if (inBucket == 0)
-            return hi;
-        const double frac =
-            (rank - static_cast<double>(cumulative)) /
-            static_cast<double>(inBucket);
-        return lo + (hi - lo) * frac;
-    }
-    return bounds.empty() ? 0.0 : bounds.back();
-}
-
 void
 Histogram::reset() noexcept
 {

@@ -143,15 +143,6 @@ class Histogram
 
     std::uint64_t totalCount() const noexcept;
 
-    /**
-     * Estimated @p q quantile (0 < q <= 1) with linear
-     * interpolation inside the landing bucket, Prometheus
-     * histogram_quantile style. Observations in the overflow
-     * bucket clamp to the last finite bound; an empty histogram
-     * reports 0. Approximate while writers run, like every read.
-     */
-    double quantile(double q) const noexcept;
-
     /** Sum of all observed values (CAS loop; exact when quiesced). */
     double
     sum() const noexcept

@@ -74,18 +74,4 @@ formatPhaseTable(const PhaseTimer &timer)
     return out;
 }
 
-std::string
-formatPhaseCsv(const PhaseTimer &timer)
-{
-    std::string out = "phase,seconds,count\n";
-    for (std::size_t i = 0; i < numPhases; ++i) {
-        const Phase p = static_cast<Phase>(i);
-        out += csprintf("%s,%.9f,%llu\n", phaseName(p),
-                        timer.seconds(p),
-                        static_cast<unsigned long long>(
-                            timer.count(p)));
-    }
-    return out;
-}
-
 } // namespace marlin::profile

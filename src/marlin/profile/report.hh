@@ -46,12 +46,6 @@ std::string formatUpdate(const UpdateBreakdown &b);
 /** Full multi-line phase table for a timer. */
 std::string formatPhaseTable(const PhaseTimer &timer);
 
-/**
- * CSV rendering of a timer ("phase,seconds,count" rows with a
- * header), for piping bench output into plotting scripts.
- */
-std::string formatPhaseCsv(const PhaseTimer &timer);
-
 } // namespace marlin::profile
 
 #endif // MARLIN_PROFILE_REPORT_HH

@@ -1,7 +1,6 @@
 #include "marlin/replay/sum_tree.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "marlin/base/logging.hh"
 #include "marlin/base/serialize.hh"
@@ -24,21 +23,6 @@ SumTree::priorityOf(BufferIndex idx) const
 {
     MARLIN_ASSERT(idx < _capacity, "sum tree index out of range");
     return nodes[leafCount + idx];
-}
-
-double
-SumTree::minPriority() const
-{
-    double best = std::numeric_limits<double>::max();
-    bool found = false;
-    for (BufferIndex i = 0; i < _capacity; ++i) {
-        const double p = nodes[leafCount + i];
-        if (p > 0.0) {
-            best = std::min(best, p);
-            found = true;
-        }
-    }
-    return found ? best : 0.0;
 }
 
 void

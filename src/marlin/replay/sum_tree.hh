@@ -37,9 +37,6 @@ class SumTree
     /** Largest priority ever set (1 before any update). */
     double maxPriority() const { return _maxPriority; }
 
-    /** Smallest nonzero priority currently stored. */
-    double minPriority() const;
-
     /** Set leaf @p idx to @p priority and update ancestors. */
     void set(BufferIndex idx, double priority);
 

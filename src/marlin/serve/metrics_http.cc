@@ -20,6 +20,11 @@ namespace marlin::serve
 namespace
 {
 
+/** Request-header cap; longer requests answer 400. */
+constexpr std::size_t maxRequestBytes = 4096;
+/** Listen backlog; scrapers are few. */
+constexpr int listenBacklog = 16;
+
 void
 setNonBlocking(int fd)
 {
@@ -83,7 +88,7 @@ MetricsHttp::start()
         listenFd = -1;
         return false;
     }
-    if (::listen(listenFd, config.backlog) != 0) {
+    if (::listen(listenFd, listenBacklog) != 0) {
         warn("metrics-http: listen: %s", std::strerror(errno));
         ::close(listenFd);
         listenFd = -1;
@@ -215,7 +220,7 @@ MetricsHttp::handleReadable(Conn &conn)
         return;
     // A request line is enough: this endpoint ignores headers.
     if (conn.in.find('\n') == std::string::npos &&
-        conn.in.size() < config.maxRequestBytes)
+        conn.in.size() < maxRequestBytes)
         return;
     buildResponse(conn);
     flushOutput(conn);

@@ -46,10 +46,6 @@ struct MetricsHttpConfig
     /** TCP port; 0 binds an ephemeral port (see port()). */
     std::uint16_t port = 0;
     PollerKind poller = PollerKind::Auto;
-    /** Request-header cap; longer requests answer 400. */
-    std::size_t maxRequestBytes = 4096;
-    /** Listen backlog; scrapers are few. */
-    int backlog = 16;
 };
 
 /** The /metrics + /healthz HTTP endpoint. */

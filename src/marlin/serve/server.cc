@@ -23,6 +23,11 @@ namespace marlin::serve
 namespace
 {
 
+/** listen(2) backlog. */
+constexpr int listenBacklog = 64;
+/** Request frames with larger payloads are rejected. */
+constexpr std::size_t maxPayloadBytes = 1 << 20;
+
 obs::Counter &
 counterOf(const char *name)
 {
@@ -164,7 +169,7 @@ Server::start()
         listenFd = -1;
         return false;
     }
-    if (::listen(listenFd, config.backlog) != 0) {
+    if (::listen(listenFd, listenBacklog) != 0) {
         warn("serve: listen: %s", std::strerror(errno));
         ::close(listenFd);
         listenFd = -1;
@@ -291,7 +296,7 @@ Server::acceptClients()
                      sizeof(one));
         const std::uint64_t id = nextConnId++;
         connections.emplace(
-            id, Connection(id, fd, config.maxPayloadBytes));
+            id, Connection(id, fd, maxPayloadBytes));
         byFd[fd] = id;
         poller.add(fd);
         ++counters.accepted;

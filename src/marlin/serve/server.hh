@@ -38,8 +38,6 @@ struct ServeConfig
 {
     /** TCP port; 0 binds an ephemeral port (see Server::port). */
     std::uint16_t port = 0;
-    /** listen(2) backlog. */
-    int backlog = 64;
     /**
      * Flush a batch as soon as this many requests are queued. A
      * pending batch is also flushed on the first loop turn whose
@@ -61,8 +59,6 @@ struct ServeConfig
      * SIGHUP (0 = reload only on SIGHUP / requestReload).
      */
     std::uint64_t reloadPollMs = 0;
-    /** Reject request frames with larger payloads. */
-    std::size_t maxPayloadBytes = 1 << 20;
     /** Readiness backend. */
     PollerKind poller = PollerKind::Auto;
 };

@@ -102,8 +102,9 @@ steadyConfig()
     return c;
 }
 
-using TrainerFactory = std::function<std::unique_ptr<core::Trainer>(
-    const env::Environment &, const core::TrainConfig &)>;
+using TrainerFactory =
+    std::function<std::unique_ptr<core::CtdeTrainerBase>(
+        const env::Environment &, const core::TrainConfig &)>;
 
 /**
  * Train one fresh run per pool size in {1, 2, 4}, long enough to pass

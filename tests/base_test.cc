@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 
 #include "marlin/base/random.hh"
 #include "marlin/base/string_utils.hh"
@@ -133,28 +132,11 @@ TEST(Rng, GaussianScaled)
 TEST(Rng, SampleIndicesWithinBounds)
 {
     Rng rng(19);
-    auto idx = rng.sampleIndices(1000, 256);
+    std::vector<BufferIndex> idx;
+    rng.sampleIndicesInto(1000, 256, idx);
     ASSERT_EQ(idx.size(), 256u);
     for (auto i : idx)
         EXPECT_LT(i, 1000u);
-}
-
-TEST(Rng, SampleIndicesDistinctAreDistinct)
-{
-    Rng rng(23);
-    auto idx = rng.sampleIndicesDistinct(100, 50);
-    std::set<BufferIndex> unique(idx.begin(), idx.end());
-    EXPECT_EQ(unique.size(), 50u);
-    for (auto i : idx)
-        EXPECT_LT(i, 100u);
-}
-
-TEST(Rng, SampleIndicesDistinctFullPopulation)
-{
-    Rng rng(29);
-    auto idx = rng.sampleIndicesDistinct(16, 16);
-    std::set<BufferIndex> unique(idx.begin(), idx.end());
-    EXPECT_EQ(unique.size(), 16u);
 }
 
 TEST(SplitMix64, KnownSequenceIsStable)

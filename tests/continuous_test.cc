@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "marlin/core/maddpg.hh"
@@ -43,9 +44,11 @@ uniformFactory()
 TEST(ContinuousEnv, ForceMovesAgent)
 {
     auto environment = env::makeCooperativeNavigationEnv(3, 1);
-    environment->reset();
+    std::vector<std::vector<Real>> obs;
+    environment->resetInto(obs);
     const env::Vec2 before = environment->world().agents[0].pos;
-    environment->stepContinuous({{1, 0}, {0, 0}, {0, 0}});
+    env::StepResult step;
+    environment->stepContinuousInto({{1, 0}, {0, 0}, {0, 0}}, step);
     const env::Vec2 after = environment->world().agents[0].pos;
     EXPECT_GT(after.x, before.x);
     EXPECT_NEAR(after.y, before.y, 1e-6);
@@ -54,11 +57,13 @@ TEST(ContinuousEnv, ForceMovesAgent)
 TEST(ContinuousEnv, ForcesAreClamped)
 {
     auto environment = env::makeCooperativeNavigationEnv(3, 2);
-    environment->reset();
+    std::vector<std::vector<Real>> obs;
+    environment->resetInto(obs);
     auto unit = env::makeCooperativeNavigationEnv(3, 2);
-    unit->reset();
-    environment->stepContinuous({{100, 0}, {0, 0}, {0, 0}});
-    unit->stepContinuous({{1, 0}, {0, 0}, {0, 0}});
+    unit->resetInto(obs);
+    env::StepResult step;
+    environment->stepContinuousInto({{100, 0}, {0, 0}, {0, 0}}, step);
+    unit->stepContinuousInto({{1, 0}, {0, 0}, {0, 0}}, step);
     EXPECT_FLOAT_EQ(environment->world().agents[0].vel.x,
                     unit->world().agents[0].vel.x);
 }
@@ -66,10 +71,12 @@ TEST(ContinuousEnv, ForcesAreClamped)
 TEST(ContinuousEnv, ScriptedPreyStillMoves)
 {
     auto environment = env::makePredatorPreyEnv(3, 3);
-    environment->reset();
+    std::vector<std::vector<Real>> obs;
+    environment->resetInto(obs);
     const env::Vec2 before = environment->world().agents[3].pos;
+    env::StepResult step;
     for (int t = 0; t < 5; ++t)
-        environment->stepContinuous({{0, 0}, {0, 0}, {0, 0}});
+        environment->stepContinuousInto({{0, 0}, {0, 0}, {0, 0}}, step);
     EXPECT_NE(environment->world().agents[3].pos, before);
 }
 
@@ -78,8 +85,9 @@ TEST(ContinuousTrainer, ActionsWithinBox)
     MaddpgTrainer trainer({6, 6}, 2, continuousConfig(),
                           uniformFactory());
     std::vector<std::vector<Real>> obs(2, std::vector<Real>(6, 0.1f));
+    std::vector<std::array<Real, 2>> actions;
     for (int rep = 0; rep < 20; ++rep) {
-        auto actions = trainer.selectContinuousActions(obs, 0);
+        trainer.selectContinuousActionsInto(obs, 0, actions);
         ASSERT_EQ(actions.size(), 2u);
         for (const auto &a : actions) {
             EXPECT_GE(a[0], Real(-1));
@@ -98,8 +106,9 @@ TEST(ContinuousTrainer, GreedyIsDeterministicAndNoisyIsNot)
     auto g1 = trainer.greedyContinuousActions(obs);
     auto g2 = trainer.greedyContinuousActions(obs);
     EXPECT_EQ(g1[0], g2[0]);
-    auto n1 = trainer.selectContinuousActions(obs, 0);
-    auto n2 = trainer.selectContinuousActions(obs, 0);
+    std::vector<std::array<Real, 2>> n1, n2;
+    trainer.selectContinuousActionsInto(obs, 0, n1);
+    trainer.selectContinuousActionsInto(obs, 0, n2);
     EXPECT_NE(n1[0], n2[0]); // OU noise advances.
 }
 
@@ -109,7 +118,8 @@ TEST(ContinuousTrainer, DiscreteTrainerPanicsOnContinuousApi)
     discrete.actionMode = ActionMode::Discrete;
     MaddpgTrainer trainer({6}, 5, discrete, uniformFactory());
     std::vector<std::vector<Real>> obs(1, std::vector<Real>(6));
-    EXPECT_DEATH(trainer.selectContinuousActions(obs, 0),
+    std::vector<std::array<Real, 2>> actions;
+    EXPECT_DEATH(trainer.selectContinuousActionsInto(obs, 0, actions),
                  "built for discrete");
 }
 

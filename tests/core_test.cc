@@ -86,15 +86,18 @@ TEST(AgentNetworks, ShapesAndTargetInit)
     AgentNetworks nets(cfg, rng);
 
     Matrix obs(2, 10);
-    Matrix logits = nets.actor.forward(obs);
-    EXPECT_EQ(logits.cols(), 5u);
+    Matrix a;
+    nets.actor.forward(obs, a);
+    EXPECT_EQ(a.cols(), 5u);
     Matrix joint(2, 40);
-    EXPECT_EQ(nets.critic.forward(joint).cols(), 1u);
+    Matrix q;
+    nets.critic.forward(joint, q);
+    EXPECT_EQ(q.cols(), 1u);
     EXPECT_EQ(nets.critic2, nullptr);
 
     // Target nets start identical to the online nets.
-    Matrix a = nets.actor.forward(obs);
-    Matrix ta = nets.targetActor.forward(obs);
+    Matrix ta;
+    nets.targetActor.forward(obs, ta);
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a.data()[i], ta.data()[i]);
 }
@@ -111,7 +114,9 @@ TEST(AgentNetworks, TwinCriticAllocatedForMatd3)
     ASSERT_NE(nets.critic2, nullptr);
     ASSERT_NE(nets.targetCritic2, nullptr);
     Matrix joint(1, 18);
-    EXPECT_EQ(nets.critic2->forward(joint).cols(), 1u);
+    Matrix q;
+    nets.critic2->forward(joint, q);
+    EXPECT_EQ(q.cols(), 1u);
 }
 
 TEST(AgentNetworks, SoftUpdateMovesTargets)
@@ -135,8 +140,9 @@ TEST(MaddpgTrainer, SelectActionsInRange)
     MaddpgTrainer trainer({6, 6, 6}, 5, tinyConfig(),
                           uniformFactory());
     std::vector<std::vector<Real>> obs(3, std::vector<Real>(6, 0.1f));
+    std::vector<int> actions;
     for (int rep = 0; rep < 50; ++rep) {
-        auto actions = trainer.selectActions(obs, 0);
+        trainer.selectActionsInto(obs, 0, actions);
         ASSERT_EQ(actions.size(), 3u);
         for (int a : actions) {
             EXPECT_GE(a, 0);
@@ -422,20 +428,26 @@ trainSerialized(std::size_t threads,
 TEST(Determinism, MaddpgWeightsBitIdenticalAcrossThreadCounts)
 {
     const std::string one = trainSerialized<MaddpgTrainer>(1);
-    const std::string four = trainSerialized<MaddpgTrainer>(4);
-    ASSERT_EQ(one.size(), four.size());
-    EXPECT_TRUE(one == four)
-        << "parallel agent updates diverged from the serial path";
+    for (std::size_t threads : {2, 4}) {
+        const std::string many = trainSerialized<MaddpgTrainer>(threads);
+        ASSERT_EQ(one.size(), many.size()) << threads << " threads";
+        EXPECT_TRUE(one == many)
+            << threads << " threads: parallel agent updates diverged "
+                          "from the serial path";
+    }
 }
 
 TEST(Determinism, Matd3WeightsBitIdenticalAcrossThreadCounts)
 {
     const std::string one = trainSerialized<Matd3Trainer>(1);
-    const std::string four = trainSerialized<Matd3Trainer>(4);
-    ASSERT_EQ(one.size(), four.size());
-    EXPECT_TRUE(one == four)
-        << "per-agent RNG streams should decouple MATD3's target "
-           "noise from pool scheduling";
+    for (std::size_t threads : {2, 4}) {
+        const std::string many = trainSerialized<Matd3Trainer>(threads);
+        ASSERT_EQ(one.size(), many.size()) << threads << " threads";
+        EXPECT_TRUE(one == many)
+            << threads << " threads: per-agent RNG streams should "
+                          "decouple MATD3's target noise from pool "
+                          "scheduling";
+    }
 }
 
 /**

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "marlin/env/cooperative_navigation.hh"
 #include "marlin/env/environment.hh"
@@ -17,6 +20,21 @@ namespace marlin::env
 {
 namespace
 {
+
+/**
+ * Elements observationInto writes for agent @p i, counted in a
+ * NaN-filled buffer one slot longer than observationDim(i).
+ */
+std::size_t
+writtenObservation(const Scenario &scenario, const World &w,
+                   std::size_t i)
+{
+    std::vector<Real> out(scenario.observationDim(i) + 1,
+                          std::numeric_limits<Real>::quiet_NaN());
+    scenario.observationInto(w, i, out.data());
+    return static_cast<std::size_t>(std::count_if(
+        out.begin(), out.end(), [](Real v) { return !std::isnan(v); }));
+}
 
 TEST(Vec2, BasicOps)
 {
@@ -186,8 +204,8 @@ TEST_P(PredatorPreyDims, MatchesPaperObservationSpace)
     scenario.makeWorld(w);
     Rng rng(1);
     scenario.resetWorld(w, rng);
-    EXPECT_EQ(scenario.observation(w, 0).size(), param.predatorObs);
-    EXPECT_EQ(scenario.observation(w, param.predators).size(),
+    EXPECT_EQ(writtenObservation(scenario, w, 0), param.predatorObs);
+    EXPECT_EQ(writtenObservation(scenario, w, param.predators),
               param.preyObs);
 }
 
@@ -214,7 +232,7 @@ TEST_P(CooperativeNavDims, ObservationIsSixN)
     scenario.makeWorld(w);
     Rng rng(2);
     scenario.resetWorld(w, rng);
-    EXPECT_EQ(scenario.observation(w, 0).size(), 6 * n);
+    EXPECT_EQ(writtenObservation(scenario, w, 0), 6 * n);
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperAnchors, CooperativeNavDims,
@@ -342,11 +360,13 @@ TEST(Environment, ResetAndStepShapes)
     auto environment = makePredatorPreyEnv(3, 11);
     EXPECT_EQ(environment->numAgents(), 3u);
     EXPECT_EQ(environment->actionDim(), 5u);
-    auto obs = environment->reset();
+    std::vector<std::vector<Real>> obs;
+    environment->resetInto(obs);
     ASSERT_EQ(obs.size(), 3u);
     EXPECT_EQ(obs[0].size(), 16u);
 
-    auto step = environment->step({1, 2, 3});
+    StepResult step;
+    environment->stepInto({1, 2, 3}, step);
     EXPECT_EQ(step.observations.size(), 3u);
     EXPECT_EQ(step.rewards.size(), 3u);
     EXPECT_EQ(step.dones.size(), 3u);
@@ -357,10 +377,12 @@ TEST(Environment, ResetAndStepShapes)
 TEST(Environment, ScriptedPreyMovesWithoutTrainerInput)
 {
     auto environment = makePredatorPreyEnv(3, 13);
-    environment->reset();
+    std::vector<std::vector<Real>> obs;
+    environment->resetInto(obs);
     const Vec2 prey_before = environment->world().agents[3].pos;
+    StepResult step;
     for (int i = 0; i < 5; ++i)
-        environment->step({0, 0, 0});
+        environment->stepInto({0, 0, 0}, step);
     const Vec2 prey_after = environment->world().agents[3].pos;
     EXPECT_NE(prey_before, prey_after);
 }
@@ -369,30 +391,33 @@ TEST(Environment, DeterministicUnderSeed)
 {
     auto a = makeCooperativeNavigationEnv(3, 99);
     auto b = makeCooperativeNavigationEnv(3, 99);
-    auto oa = a->reset();
-    auto ob = b->reset();
+    std::vector<std::vector<Real>> oa, ob;
+    a->resetInto(oa);
+    b->resetInto(ob);
     ASSERT_EQ(oa.size(), ob.size());
     for (std::size_t i = 0; i < oa.size(); ++i)
         EXPECT_EQ(oa[i], ob[i]);
-    auto sa = a->step({1, 1, 1});
-    auto sb = b->step({1, 1, 1});
+    StepResult sa, sb;
+    a->stepInto({1, 1, 1}, sa);
+    b->stepInto({1, 1, 1}, sb);
     EXPECT_EQ(sa.rewards, sb.rewards);
 }
 
 TEST(Environment, ObservationsStayFiniteOverLongRollout)
 {
     auto environment = makePredatorPreyEnv(6, 17);
-    auto obs = environment->reset();
+    std::vector<std::vector<Real>> obs;
+    environment->resetInto(obs);
     Rng rng(18);
+    StepResult step;
     for (int t = 0; t < 500; ++t) {
         std::vector<int> actions(environment->numAgents());
         for (auto &a : actions)
             a = static_cast<int>(rng.randint(5));
-        auto step = environment->step(actions);
+        environment->stepInto(actions, step);
         for (const auto &o : step.observations)
             for (Real v : o)
                 ASSERT_TRUE(std::isfinite(v)) << "step " << t;
-        obs = step.observations;
     }
 }
 

@@ -79,8 +79,8 @@ TEST(FailureDeath, SumTreeFindOnEmptyTree)
 
 TEST(FailureDeath, HconcatRowMismatch)
 {
-    numeric::Matrix a(2, 3), b(3, 3);
-    EXPECT_DEATH(numeric::hconcat({&a, &b}), "row mismatch");
+    numeric::Matrix a(2, 3), b(3, 3), out;
+    EXPECT_DEATH(numeric::hconcatInto({&a, &b}, out), "row mismatch");
 }
 
 TEST(FailureDeath, GemmInnerDimensionMismatch)
@@ -97,22 +97,26 @@ TEST(FailureDeath, MlpForwardWrongInputWidth)
     cfg.hiddenDims = {4};
     cfg.outputDim = 2;
     nn::Mlp net(cfg, rng);
-    numeric::Matrix x(1, 5);
-    EXPECT_DEATH(net.forward(x), "input dimension mismatch");
+    numeric::Matrix x(1, 5), y;
+    EXPECT_DEATH(net.forward(x, y), "input dimension mismatch");
 }
 
 TEST(FailureDeath, EnvironmentWrongActionCount)
 {
     auto environment = env::makeCooperativeNavigationEnv(3, 1);
-    environment->reset();
-    EXPECT_DEATH(environment->step({1, 2}), "one action per");
+    std::vector<std::vector<Real>> obs;
+    environment->resetInto(obs);
+    env::StepResult step;
+    EXPECT_DEATH(environment->stepInto({1, 2}, step), "one action per");
 }
 
 TEST(FailureDeath, EnvironmentActionOutOfRange)
 {
     auto environment = env::makeCooperativeNavigationEnv(3, 1);
-    environment->reset();
-    EXPECT_DEATH(environment->step({1, 2, 9}),
+    std::vector<std::vector<Real>> obs;
+    environment->resetInto(obs);
+    env::StepResult step;
+    EXPECT_DEATH(environment->stepInto({1, 2, 9}, step),
                  "action out of range");
 }
 
@@ -124,7 +128,8 @@ TEST(FailureDeath, TrainerObservationCountMismatch)
         {6, 6}, 5, config,
         [] { return std::make_unique<replay::UniformSampler>(); });
     std::vector<std::vector<Real>> obs(1, std::vector<Real>(6));
-    EXPECT_DEATH(trainer.selectActions(obs, 0),
+    std::vector<int> actions;
+    EXPECT_DEATH(trainer.selectActionsInto(obs, 0, actions),
                  "one observation per agent");
 }
 

@@ -40,7 +40,10 @@ testConfig()
 
 TEST(Integration, TrainingIsBitReproducibleUnderFixedSeed)
 {
-    auto run_once = [] {
+    // One run is serial and the other runs on a pool of 4, so the
+    // parallel path is covered on any host.
+    auto run_once = [](std::size_t threads) {
+        base::ThreadPool::setGlobalThreads(threads);
         auto environment = env::makeCooperativeNavigationEnv(3, 77);
         auto config = testConfig();
         core::MaddpgTrainer trainer(
@@ -49,8 +52,9 @@ TEST(Integration, TrainingIsBitReproducibleUnderFixedSeed)
         core::TrainLoop loop(*environment, trainer, config);
         return loop.run(15).episodeRewards;
     };
-    const auto a = run_once();
-    const auto b = run_once();
+    const auto a = run_once(1);
+    const auto b = run_once(4);
+    base::ThreadPool::setGlobalThreads(0); // Restore auto sizing.
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i], b[i]) << "episode " << i;
@@ -141,7 +145,9 @@ TEST(Integration, InterleavedBackendMatchesPerAgentNumerics)
     // interleaved (record-major, one all-hot shard) store must
     // deliver identical batches, hence a bit-identical training
     // trajectory.
-    auto run_backend = [](core::SamplingBackend backend) {
+    auto run_backend = [](core::SamplingBackend backend,
+                          std::size_t threads) {
+        base::ThreadPool::setGlobalThreads(threads);
         auto environment = env::makeCooperativeNavigationEnv(3, 88);
         auto config = testConfig();
         config.backend = backend;
@@ -151,10 +157,13 @@ TEST(Integration, InterleavedBackendMatchesPerAgentNumerics)
         core::TrainLoop loop(*environment, trainer, config);
         return loop.run(12).episodeRewards;
     };
+    // The per-agent run is serial and the interleaved one runs on a
+    // pool of 4.
     const auto per_agent =
-        run_backend(core::SamplingBackend::PerAgent);
+        run_backend(core::SamplingBackend::PerAgent, 1);
     const auto interleaved =
-        run_backend(core::SamplingBackend::Sharded);
+        run_backend(core::SamplingBackend::Sharded, 4);
+    base::ThreadPool::setGlobalThreads(0); // Restore auto sizing.
     ASSERT_EQ(per_agent.size(), interleaved.size());
     for (std::size_t i = 0; i < per_agent.size(); ++i)
         EXPECT_EQ(per_agent[i], interleaved[i]) << "episode " << i;

@@ -189,7 +189,9 @@ TEST(Ops, GemmAddsRowBias)
 TEST(Ops, SumRowsMeanSum)
 {
     Matrix m{{1, 2}, {3, 4}};
-    expectNear(sumRows(m), Matrix{{4, 6}});
+    Matrix rows;
+    sumRowsInto(m, rows);
+    expectNear(rows, Matrix{{4, 6}});
     EXPECT_NEAR(mean(m), 2.5, 1e-6);
     EXPECT_NEAR(sum(m), 10.0, 1e-6);
 }
@@ -277,7 +279,7 @@ TEST(Ops, GumbelArgmaxFollowsLogits)
     Matrix logits{{0, 8, 0, 0, 0}};
     int hits = 0;
     for (int i = 0; i < 1000; ++i)
-        hits += gumbelArgmaxRows(logits, rng)[0] == 1;
+        hits += gumbelArgmaxRow(logits, 0, rng) == 1;
     EXPECT_GT(hits, 950);
 }
 
@@ -288,7 +290,7 @@ TEST(Ops, GumbelArgmaxSamplesDistribution)
     Matrix logits(1, 4);
     std::array<int, 4> counts{};
     for (int i = 0; i < 8000; ++i)
-        ++counts[gumbelArgmaxRows(logits, rng)[0]];
+        ++counts[gumbelArgmaxRow(logits, 0, rng)];
     for (int c : counts)
         EXPECT_NEAR(c, 2000, 250);
 }
@@ -298,7 +300,8 @@ TEST(Ops, Hconcat)
     Matrix a{{1, 2}, {3, 4}};
     Matrix b{{5}, {6}};
     Matrix c{{7, 8, 9}, {10, 11, 12}};
-    Matrix out = hconcat({&a, &b, &c});
+    Matrix out;
+    hconcatInto({&a, &b, &c}, out);
     EXPECT_EQ(out.cols(), 6u);
     expectNear(out, Matrix{{1, 2, 5, 7, 8, 9}, {3, 4, 6, 10, 11, 12}});
 }

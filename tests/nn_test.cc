@@ -145,7 +145,8 @@ TEST(Mlp, OutputShape)
     Mlp net(smallConfig(6, 3), rng);
     Matrix x(10, 6);
     fillUniform(x, rng, -1, 1);
-    Matrix y = net.forward(x);
+    Matrix y;
+    net.forward(x, y);
     EXPECT_EQ(y.rows(), 10u);
     EXPECT_EQ(y.cols(), 3u);
 }
@@ -239,7 +240,8 @@ TEST(Mlp, GradientsAccumulateAcrossBackwards)
     fillUniform(target, rng, -1, 1);
 
     auto run_backward = [&] {
-        Matrix pred = net.forward(x);
+        Matrix pred;
+        net.forward(x, pred);
         Matrix g;
         mseLoss(pred, target, g);
         net.backward(x, g);
@@ -366,7 +368,9 @@ class CopyingReference
             Matrix dw;
             numeric::gemmTN(inputs[l], d, dw);
             grads[2 * l] += dw;
-            grads[2 * l + 1] += numeric::sumRows(d);
+            Matrix db;
+            numeric::sumRowsInto(d, db);
+            grads[2 * l + 1] += db;
             if (l > 0)
                 numeric::gemmNT(d, weight(l), g, pack);
             else if (grad_x != nullptr)
@@ -479,8 +483,9 @@ TEST(Mlp, CopyFromMakesOutputsIdentical)
     Matrix x(4, 5);
     fillUniform(x, rng, -1, 1);
     b.copyFrom(a);
-    Matrix ya = a.forward(x);
-    Matrix yb = b.forward(x);
+    Matrix ya, yb;
+    a.forward(x, ya);
+    b.forward(x, yb);
     for (std::size_t i = 0; i < ya.size(); ++i)
         EXPECT_EQ(ya.data()[i], yb.data()[i]);
 }
@@ -609,7 +614,8 @@ TEST(Loss, PolicyLossIsNegativeMeanQ)
 TEST(Loss, AbsTdError)
 {
     Matrix pred{{1}, {-2}}, target{{3}, {-1}};
-    auto td = absTdError(pred, target);
+    std::vector<Real> td;
+    absTdErrorInto(pred, target, td);
     ASSERT_EQ(td.size(), 2u);
     EXPECT_NEAR(td[0], 2.0, 1e-6);
     EXPECT_NEAR(td[1], 1.0, 1e-6);
@@ -635,7 +641,8 @@ TEST(Mlp, TrainsToFitSmallRegression)
 
     Real loss = 0;
     for (int step = 0; step < 400; ++step) {
-        Matrix pred = net.forward(x);
+        Matrix pred;
+        net.forward(x, pred);
         Matrix g;
         loss = mseLoss(pred, y, g);
         net.backward(x, g);

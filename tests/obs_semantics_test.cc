@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "marlin/env/cooperative_navigation.hh"
 #include "marlin/env/predator_prey.hh"
 
@@ -34,8 +36,9 @@ TEST(ObsSemantics, PredatorObservationSegments)
     w.landmarks[0].pos = {0.0f, 0.0f};
     w.landmarks[1].pos = {1.0f, 1.0f};
 
-    const auto obs = scenario.observation(w, 0);
-    ASSERT_EQ(obs.size(), 16u);
+    ASSERT_EQ(scenario.observationDim(0), 16u);
+    std::vector<Real> obs(16);
+    scenario.observationInto(w, 0, obs.data());
     std::size_t k = 0;
     // [0:2) self velocity.
     EXPECT_FLOAT_EQ(obs[k++], 0.5f);
@@ -70,8 +73,10 @@ TEST(ObsSemantics, PreyObservationOmitsOwnVelocityChannel)
     Rng rng(1);
     scenario.resetWorld(w, rng);
 
-    const auto obs = scenario.observation(w, 3);
-    ASSERT_EQ(obs.size(), 14u); // Box(14): no prey-velocity block.
+    // Box(14): no prey-velocity block.
+    ASSERT_EQ(scenario.observationDim(3), 14u);
+    std::vector<Real> obs(14);
+    scenario.observationInto(w, 3, obs.data());
     // First four entries are self vel/pos.
     EXPECT_FLOAT_EQ(obs[0], w.agents[3].vel.x);
     EXPECT_FLOAT_EQ(obs[2], w.agents[3].pos.x);
@@ -93,8 +98,9 @@ TEST(ObsSemantics, CooperativeNavigationSegments)
     w.landmarks[1].pos = {0.0f, 0.3f};
     w.landmarks[2].pos = {-0.2f, -0.3f};
 
-    const auto obs = scenario.observation(w, 0);
-    ASSERT_EQ(obs.size(), 18u);
+    ASSERT_EQ(scenario.observationDim(0), 18u);
+    std::vector<Real> obs(18);
+    scenario.observationInto(w, 0, obs.data());
     std::size_t k = 0;
     EXPECT_FLOAT_EQ(obs[k++], 0.1f); // self vel
     EXPECT_FLOAT_EQ(obs[k++], 0.2f);
@@ -127,15 +133,16 @@ TEST(ObsSemantics, ObservationsAreTranslationCovariant)
     Rng rng(2);
     scenario.resetWorld(w, rng);
 
-    const auto before = scenario.observation(w, 1);
+    std::vector<Real> before(scenario.observationDim(1));
+    scenario.observationInto(w, 1, before.data());
     const Vec2 shift{0.25f, -0.5f};
     for (auto &a : w.agents)
         a.pos += shift;
     for (auto &lm : w.landmarks)
         lm.pos += shift;
-    const auto after = scenario.observation(w, 1);
+    std::vector<Real> after(before.size());
+    scenario.observationInto(w, 1, after.data());
 
-    ASSERT_EQ(before.size(), after.size());
     for (std::size_t k = 0; k < before.size(); ++k) {
         if (k == 2) {
             EXPECT_NEAR(after[k], before[k] + shift.x, 1e-5);

@@ -341,26 +341,6 @@ TEST(Trace, FlowSpansExportBindIdPairing)
     obs::TraceRing::disable();
 }
 
-TEST(Histogram, QuantileInterpolatesWithinBuckets)
-{
-    obs::Histogram &h = obs::Registry::instance().histogram(
-        "test.quantile.hist", {10.0, 100.0, 1000.0});
-    h.reset();
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0); // Empty: no estimate.
-    for (int i = 0; i < 50; ++i)
-        h.observe(5.0); // le=10
-    for (int i = 0; i < 50; ++i)
-        h.observe(50.0); // le=100
-    // Median sits on the first/second bucket edge; p99 inside the
-    // second bucket; quantiles are monotone in q.
-    EXPECT_NEAR(h.quantile(0.5), 10.0, 1.0);
-    EXPECT_GT(h.quantile(0.99), 90.0);
-    EXPECT_LE(h.quantile(0.99), 100.0);
-    EXPECT_LE(h.quantile(0.5), h.quantile(0.9));
-    h.observe(1e9); // Overflow clamps to the last finite bound.
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 1000.0);
-}
-
 TEST(Trace, DisabledRecordingIsANoOp)
 {
     obs::TraceRing::disable();
@@ -449,11 +429,15 @@ smallConfig()
     return c;
 }
 
-/** Train a small MADDPG run and save its checkpoint bytes. */
+/**
+ * Train a small MADDPG run with the global pool at @p threads and
+ * save its checkpoint bytes.
+ */
 std::string
 trainAndCheckpoint(const std::string &ckpt_path,
-                   obs::TelemetryWriter *telemetry)
+                   obs::TelemetryWriter *telemetry, std::size_t threads)
 {
+    base::ThreadPool::setGlobalThreads(threads);
     auto environment = env::makeCooperativeNavigationEnv(2, 5);
     core::TrainConfig config = smallConfig();
     std::vector<std::size_t> dims;
@@ -469,14 +453,18 @@ trainAndCheckpoint(const std::string &ckpt_path,
     core::RunState state;
     state.trainer = &trainer;
     EXPECT_TRUE(core::saveRunFile(ckpt_path, state));
+    base::ThreadPool::setGlobalThreads(0); // Restore auto sizing.
     return readAll(ckpt_path);
 }
 
 TEST(Telemetry, TrainingIsByteIdenticalWithTelemetryOnOrOff)
 {
+    // The plain run is serial and the observed one runs on a pool
+    // of 4, so the observers are checked against the parallel path
+    // on any host.
     TempDir dir("identity");
     const std::string plain =
-        trainAndCheckpoint(dir.file("plain.ckpt"), nullptr);
+        trainAndCheckpoint(dir.file("plain.ckpt"), nullptr, 1);
 
     obs::TraceRing::enable(1 << 14); // Both sinks live this run.
     std::string observed;
@@ -484,8 +472,8 @@ TEST(Telemetry, TrainingIsByteIdenticalWithTelemetryOnOrOff)
         obs::TelemetryWriter writer(dir.file("run.jsonl"),
                                     {{"test", "identity"}});
         ASSERT_TRUE(writer.ok());
-        observed =
-            trainAndCheckpoint(dir.file("observed.ckpt"), &writer);
+        observed = trainAndCheckpoint(dir.file("observed.ckpt"),
+                                      &writer, 4);
         EXPECT_GT(writer.recordsWritten(), 2u);
     }
     obs::TraceRing::disable();

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "marlin/env/environment.hh"
 #include "marlin/env/physical_deception.hh"
@@ -42,23 +47,28 @@ TEST(PhysicalDeception, AdversaryIsBlindToGoal)
     scenario.makeWorld(w);
     Rng rng(1);
     scenario.resetWorld(w, rng);
-    EXPECT_EQ(scenario.observation(w, 0).size(),
-              scenario.observationDim(0));
-    EXPECT_EQ(scenario.observation(w, 1).size(),
-              scenario.observationDim(1));
+    // observationInto writes exactly observationDim(i) elements.
+    for (std::size_t i = 0; i < 2; ++i) {
+        std::vector<Real> out(scenario.observationDim(i) + 1,
+                              std::numeric_limits<Real>::quiet_NaN());
+        scenario.observationInto(w, i, out.data());
+        EXPECT_EQ(std::count_if(out.begin(), out.end(),
+                                [](Real v) { return !std::isnan(v); }),
+                  static_cast<std::ptrdiff_t>(scenario.observationDim(i)))
+            << "agent " << i;
+    }
 
     // The good agent's first two entries are the goal-relative
-    // position; moving the goal landmark must change them but leave
-    // the adversary's observation untouched.
-    auto adv_before = scenario.observation(w, 0);
-    auto good_before = scenario.observation(w, 1);
+    // position; moving the goal landmark must change them.
+    std::vector<Real> good_before(scenario.observationDim(1));
+    scenario.observationInto(w, 1, good_before.data());
     // Move only the goal landmark; the adversary's view of that
     // landmark also shifts, so compare the *goal channel* only.
     const std::size_t goal = scenario.goalIndex();
     w.landmarks[goal].pos += Vec2{0.5f, 0};
-    auto good_after = scenario.observation(w, 1);
+    std::vector<Real> good_after(good_before.size());
+    scenario.observationInto(w, 1, good_after.data());
     EXPECT_NE(good_before[0], good_after[0]);
-    (void)adv_before;
 }
 
 TEST(PhysicalDeception, RewardsAreZeroSumInDistanceTerm)
@@ -117,9 +127,11 @@ TEST(PhysicalDeception, RunsInsideEnvironment)
         std::make_unique<PhysicalDeceptionScenario>(
             PhysicalDeceptionConfig{}),
         9);
-    auto obs = environment->reset();
+    std::vector<std::vector<Real>> obs;
+    environment->resetInto(obs);
     EXPECT_EQ(obs.size(), 3u);
-    auto step = environment->step({1, 2, 3});
+    StepResult step;
+    environment->stepInto({1, 2, 3}, step);
     EXPECT_EQ(step.rewards.size(), 3u);
     for (Real r : step.rewards)
         EXPECT_TRUE(std::isfinite(r));

@@ -112,7 +112,10 @@ TEST(NnSerialize, MlpRoundTripPreservesOutputs)
 
     numeric::Matrix x(4, 5);
     numeric::fillUniform(x, rng, -1, 1);
-    EXPECT_EQ(a.forward(x), b.forward(x));
+    numeric::Matrix ya, yb;
+    a.forward(x, ya);
+    b.forward(x, yb);
+    EXPECT_EQ(ya, yb);
 }
 
 TEST(NnSerializeDeath, ShapeMismatchDies)
@@ -152,7 +155,8 @@ TEST(NnSerialize, AdamRoundTripResumesIdentically)
     numeric::fillUniform(x, rng, -1, 1);
     numeric::fillUniform(y, rng, -1, 1);
     auto step = [&](nn::Mlp &net, nn::AdamOptimizer &opt) {
-        numeric::Matrix pred = net.forward(x);
+        numeric::Matrix pred;
+        net.forward(x, pred);
         numeric::Matrix g;
         nn::mseLoss(pred, y, g);
         net.backward(x, g);
@@ -172,7 +176,10 @@ TEST(NnSerialize, AdamRoundTripResumesIdentically)
         step(net_a, opt_a);
         step(net_b, opt_b);
     }
-    EXPECT_EQ(net_a.forward(x), net_b.forward(x));
+    numeric::Matrix ya, yb;
+    net_a.forward(x, ya);
+    net_b.forward(x, yb);
+    EXPECT_EQ(ya, yb);
 }
 
 core::TrainConfig
@@ -221,8 +228,10 @@ TEST(Checkpoint, MaddpgRoundTripPreservesPolicies)
     EXPECT_EQ(a.greedyActions(obs), b.greedyActions(obs));
     // Deep check: actor outputs identical, not just argmax.
     numeric::Matrix x(1, 6, std::vector<Real>(6, Real(0.2)));
-    EXPECT_EQ(a.networks(0).actor.forward(x),
-              b.networks(0).actor.forward(x));
+    numeric::Matrix ya, yb;
+    a.networks(0).actor.forward(x, ya);
+    b.networks(0).actor.forward(x, yb);
+    EXPECT_EQ(ya, yb);
 }
 
 TEST(Checkpoint, Matd3RoundTripIncludesTwinCritics)
@@ -237,10 +246,13 @@ TEST(Checkpoint, Matd3RoundTripIncludesTwinCritics)
     numeric::Matrix joint(2, 10); // obs 5 + one-hot action 5.
     Rng rng(5);
     numeric::fillUniform(joint, rng, -1, 1);
-    EXPECT_EQ(a.networks(0).critic2->forward(joint),
-              b.networks(0).critic2->forward(joint));
-    EXPECT_EQ(a.networks(0).targetCritic2->forward(joint),
-              b.networks(0).targetCritic2->forward(joint));
+    numeric::Matrix qa, qb;
+    a.networks(0).critic2->forward(joint, qa);
+    b.networks(0).critic2->forward(joint, qb);
+    EXPECT_EQ(qa, qb);
+    a.networks(0).targetCritic2->forward(joint, qa);
+    b.networks(0).targetCritic2->forward(joint, qb);
+    EXPECT_EQ(qa, qb);
 }
 
 } // namespace

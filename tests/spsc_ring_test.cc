@@ -37,93 +37,129 @@ TEST(SpscRing, CeilPow2)
     EXPECT_EQ(base::ceilPow2(1024), 1024u);
 }
 
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo)
+/** Claim, fill (rec[0] = seq) and stage one record; false when full. */
+bool
+pushSeq(replay::TransitionRing &ring, std::uint64_t seq)
 {
-    base::SpscRing<int> ring(5);
+    Real *rec = ring.tryBeginPush(seq);
+    if (rec == nullptr)
+        return false;
+    rec[0] = static_cast<Real>(seq);
+    ring.commitPush();
+    return true;
+}
+
+/** Pop the front record into @p seq; false when empty. */
+bool
+popSeq(replay::TransitionRing &ring, std::uint64_t &seq)
+{
+    const Real *rec = ring.front(&seq);
+    if (rec == nullptr)
+        return false;
+    EXPECT_EQ(rec[0], static_cast<Real>(seq)) << "payload follows seq";
+    ring.pop();
+    return true;
+}
+
+TEST(TransitionRing, CapacityRoundsUpToPowerOfTwo)
+{
+    replay::TransitionRing ring(1, 5);
     EXPECT_EQ(ring.capacity(), 8u);
-    base::SpscRing<int> tiny(0);
+    replay::TransitionRing tiny(1, 0);
     EXPECT_EQ(tiny.capacity(), 2u);
 }
 
-TEST(SpscRing, RejectsPushWhenFullAndPopWhenEmpty)
+TEST(TransitionRing, RejectsPushWhenFullAndPopWhenEmpty)
 {
-    base::SpscRing<int> ring(4);
-    int out = -1;
-    EXPECT_FALSE(ring.tryPop(out));
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(ring.tryPush(i));
-    EXPECT_FALSE(ring.tryPush(99)) << "5th push into cap-4 ring";
-    EXPECT_EQ(ring.size(), 4u);
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(ring.tryPop(out));
-        EXPECT_EQ(out, i);
+    replay::TransitionRing ring(1, 4);
+    std::uint64_t seq = 0;
+    EXPECT_FALSE(popSeq(ring, seq));
+    for (std::uint64_t s = 0; s < 4; ++s)
+        EXPECT_TRUE(pushSeq(ring, s));
+    EXPECT_FALSE(pushSeq(ring, 4)) << "5th push into cap-4 ring";
+    ring.publish();
+    EXPECT_EQ(ring.depth(), 4u);
+    for (std::uint64_t s = 0; s < 4; ++s) {
+        ASSERT_TRUE(popSeq(ring, seq));
+        EXPECT_EQ(seq, s);
     }
-    EXPECT_FALSE(ring.tryPop(out));
-    EXPECT_TRUE(ring.empty());
+    EXPECT_FALSE(popSeq(ring, seq));
+    EXPECT_EQ(ring.depth(), 0u);
 }
 
-TEST(SpscRing, SurvivesManyWrapsAroundThePow2Boundary)
+TEST(TransitionRing, SurvivesManyWrapsAroundThePow2Boundary)
 {
-    // Push/pop far more values than the capacity so the monotonic
+    // Push/pop far more records than the capacity so the monotonic
     // 64-bit positions lap the slot array many times; FIFO order and
-    // values must hold across every wrap.
-    base::SpscRing<std::uint32_t> ring(8);
-    std::uint32_t next_in = 0;
-    std::uint32_t next_out = 0;
+    // payloads must hold across every wrap.
+    replay::TransitionRing ring(1, 8);
+    std::uint64_t next_in = 0;
+    std::uint64_t next_out = 0;
     // Keep the ring partially full so wraps happen mid-occupancy.
     for (int round = 0; round < 1000; ++round) {
         for (int i = 0; i < 5; ++i)
-            ASSERT_TRUE(ring.tryPush(next_in++));
-        std::uint32_t v = 0;
+            ASSERT_TRUE(pushSeq(ring, next_in++));
+        ring.publish();
+        std::uint64_t seq = 0;
         for (int i = 0; i < 5; ++i) {
-            ASSERT_TRUE(ring.tryPop(v));
-            ASSERT_EQ(v, next_out++);
+            ASSERT_TRUE(popSeq(ring, seq));
+            ASSERT_EQ(seq, next_out++);
         }
     }
-    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.depth(), 0u);
     EXPECT_EQ(next_out, 5000u);
+    EXPECT_EQ(ring.seqGapCount(), 0u);
 }
 
-TEST(SpscRing, BatchPushPopRespectCapacityAndOrder)
+TEST(TransitionRing, StagedRecordsStayInvisibleUntilPublish)
 {
-    base::SpscRing<int> ring(8);
-    std::vector<int> src(12);
-    for (int i = 0; i < 12; ++i)
-        src[static_cast<std::size_t>(i)] = i;
-    // Only capacity() values fit; the rest are refused, not lost
-    // silently — the return value says how many were taken.
-    EXPECT_EQ(ring.pushBatch(src.data(), src.size()), 8u);
-    std::vector<int> dst(12, -1);
-    EXPECT_EQ(ring.popBatch(dst.data(), dst.size()), 8u);
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(dst[static_cast<std::size_t>(i)], i);
-    EXPECT_TRUE(ring.empty());
+    // Committed records are staged, not published: the consumer sees
+    // none of them until one release store publishes the batch. Only
+    // capacity() records fit; the rest are refused and counted.
+    replay::TransitionRing ring(1, 8);
+    std::uint64_t taken = 0;
+    for (std::uint64_t s = 0; s < 12; ++s)
+        taken += pushSeq(ring, s) ? 1 : 0;
+    EXPECT_EQ(taken, 8u);
+    EXPECT_EQ(ring.droppedCount(), 4u);
+    std::uint64_t seq = 0;
+    EXPECT_FALSE(popSeq(ring, seq)) << "visible before publish()";
+    EXPECT_EQ(ring.depth(), 0u);
+    ring.publish();
+    EXPECT_EQ(ring.depth(), 8u);
+    for (std::uint64_t s = 0; s < 8; ++s) {
+        ASSERT_TRUE(popSeq(ring, seq));
+        EXPECT_EQ(seq, s);
+    }
+    EXPECT_FALSE(popSeq(ring, seq));
 }
 
-TEST(SpscRing, TwoThreadStressPreservesEveryValueInOrder)
+TEST(TransitionRing, TwoThreadStressPreservesEveryRecordInOrder)
 {
     // A real producer thread races a real consumer through a small
     // ring so both the full path (producer spins) and the empty path
-    // (consumer spins) are exercised constantly. Every value must
-    // arrive exactly once, in order.
-    constexpr std::uint32_t kCount = 200000;
-    base::SpscRing<std::uint32_t> ring(16);
+    // (consumer spins) are exercised constantly. A producer that
+    // retries a refused push with the same seq loses nothing, so
+    // every record must arrive exactly once, in order.
+    constexpr std::uint64_t kCount = 200000;
+    replay::TransitionRing ring(1, 16);
     std::atomic<bool> failed{false};
 
     std::thread producer([&] {
-        for (std::uint32_t v = 0; v < kCount; ++v) {
-            while (!ring.tryPush(v))
+        for (std::uint64_t s = 0; s < kCount; ++s) {
+            while (!pushSeq(ring, s))
                 std::this_thread::yield();
+            ring.publish();
         }
     });
-    std::uint32_t expected = 0;
+    std::uint64_t expected = 0;
     while (expected < kCount) {
-        std::uint32_t v = 0;
-        if (!ring.tryPop(v)) {
+        std::uint64_t seq = 0;
+        if (!popSeq(ring, seq)) {
             std::this_thread::yield();
             continue;
         }
-        if (v != expected) {
+        if (seq != expected) {
             failed.store(true);
             break;
         }
@@ -132,7 +168,8 @@ TEST(SpscRing, TwoThreadStressPreservesEveryValueInOrder)
     producer.join();
     EXPECT_FALSE(failed.load());
     EXPECT_EQ(expected, kCount);
-    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.depth(), 0u);
+    EXPECT_EQ(ring.seqGapCount(), 0u);
 }
 
 TEST(WorkerThread, RunsTheTaskAndJoinIsIdempotent)

@@ -97,15 +97,6 @@ TEST(SumTree, MaxPriorityTracksUpdates)
     EXPECT_EQ(tree.maxPriority(), 5.0);
 }
 
-TEST(SumTree, MinPriorityIgnoresZeros)
-{
-    SumTree tree(8);
-    EXPECT_EQ(tree.minPriority(), 0.0);
-    tree.set(0, 4.0);
-    tree.set(5, 0.25);
-    EXPECT_EQ(tree.minPriority(), 0.25);
-}
-
 TEST(SumTree, ClearResets)
 {
     SumTree tree(8);
